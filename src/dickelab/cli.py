@@ -20,7 +20,7 @@ from .compare import (
     verify_table,
 )
 from .dataset import Dataset
-from .errors import DickeLabError, ProjectionAnnihilationError
+from .errors import ConvergenceError, DickeLabError, ProjectionAnnihilationError
 from .model import ModelParams
 from .observables import ObservableSet, eigen_observables
 from .sas import coherent_observables, sas_observables
@@ -150,7 +150,7 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 def _cmd_spectrum(cfg: RunConfig, args) -> Dataset:
     ds = spectrum_dataset(cfg.omega_a, cfg.n_atoms, cfg.gammas(),
-                          tol=cfg.tol, jobs=cfg.jobs)
+                          tol=cfg.tol, jobs=cfg.jobs, lambda_cap=cfg.lambda_max_cap)
     ds.meta = {**_base_meta(cfg), **ds.meta}
     return ds
 
@@ -174,7 +174,7 @@ def _cmd_observables(cfg: RunConfig, args) -> Dataset:
                 else:
                     obs = coherent_observables(params)
                 values = [getattr(obs, k) for k in names]
-            except (ValueError, ProjectionAnnihilationError) as exc:
+            except (ValueError, ProjectionAnnihilationError, ConvergenceError) as exc:
                 values = [None] * len(names)
                 flag = type(exc).__name__
             rows.append((float(gamma), parity, *values, lam_max, flag))
@@ -187,16 +187,17 @@ def _cmd_fidelity(cfg: RunConfig, args) -> Dataset:
     rows_by_parity = {}
     for parity in cfg.parities():
         curve = fidelity_curve(cfg.omega_a, cfg.n_atoms, parity, gammas,
-                               tol=cfg.tol, jobs=cfg.jobs)
+                               tol=cfg.tol, jobs=cfg.jobs, lambda_cap=cfg.lambda_max_cap)
         rows_by_parity[parity] = curve
     rows = []
     for i, gamma in enumerate(gammas):
         for parity in cfg.parities():
             curve = rows_by_parity[parity]
             val = curve.values[i]
+            lam = curve.lambda_maxes[i]
             rows.append((float(gamma), parity,
                          None if np.isnan(val) else float(val),
-                         int(curve.lambda_maxes[i]), curve.flags[i]))
+                         None if np.isnan(lam) else int(lam), curve.flags[i]))
     return Dataset(_base_meta(cfg), ["gamma", "parity", "fidelity", "lambda_max", "flag"], rows)
 
 
@@ -235,7 +236,8 @@ def _cmd_figures(cfg: RunConfig, args) -> Dataset:
     if cfg.gamma is not None or cfg.gamma_min is not None:
         gammas = cfg.gammas()
     ds = figure_data(args.figure_id, omega_a=cfg.omega_a, n_atoms=args.n_atoms,
-                     gammas=gammas, tol=cfg.tol, jobs=cfg.jobs)
+                     gammas=gammas, tol=cfg.tol, jobs=cfg.jobs,
+                     lambda_cap=cfg.lambda_max_cap)
     ds.meta = {"command": "figures", "version": __version__, **ds.meta}
     return ds
 
@@ -244,7 +246,7 @@ def _cmd_verify(cfg: RunConfig, args) -> Dataset:
     rows = []
     for gamma in cfg.gammas():
         params = ModelParams(cfg.omega_a, float(gamma), cfg.n_atoms)
-        report = verify_table(params, tol=cfg.tol)
+        report = verify_table(params, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
         for r in report.rows:
             status = "flagged" if r.flag_closed_form else "ok"
             if r.flag_exact:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ProjectionAnnihilationError
+from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import ModelParams
 from .observables import eigen_observables
 from .sas import (
@@ -21,17 +21,20 @@ from .sas import (
     marginal_photon,
     table_closed_forms_sas,
     build_sas_state,
-    sas_coefficients_at,
     sas_observables,
     state_observables,
 )
-from .solver import SpectralResult, converge_ground
+from .solver import (  # the trial states live with the solver they seed
+    DEFAULT_LAMBDA_CAP,
+    SpectralResult,
+    converge_ground,
+    variational_energy,
+    variational_vector,
+)
 from .surface import (
     PhaseSpacePoint,
     critical_points,
     f_function,
-    normal_odd_state,
-    sas_energy_at_critical,
     surface_gradient,
 )
 
@@ -42,53 +45,8 @@ TABLE_ROW_NAMES = [
 ]
 
 
-def variational_energy(params: ModelParams, parity: str) -> float:
-    """Best trial-state energy: projected-vacuum / single-excitation states
-    below the separatrix, the projected critical-point energy above it."""
-    xa = abs(params.x)
-    if parity == "even":
-        if xa < 1.0:
-            return -2.0 * params.n_atoms * params.gamma_c ** 2
-        return sas_energy_at_critical(params, "even")
-    if parity == "odd":
-        if xa < 1.0:
-            return normal_odd_state(params).energy
-        return sas_energy_at_critical(params, "odd")
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
-    """The trial state expressed in a sector basis (unit norm).
-
-    Raises ProjectionAnnihilationError for the odd state at the separatrix
-    and ValueError for the degenerate odd family at gamma = 0 (fidelity
-    handles that case by subspace overlap).
-    """
-    if basis.parity != parity:
-        raise ValueError("basis parity does not match the requested state")
-    xa = abs(params.x)
-    vec = np.zeros(basis.size)
-    if parity == "even":
-        if xa <= 1.0:
-            vec[basis.index_of(0, 0)] = 1.0
-            return vec
-        return sas_coefficients_at(params, basis.nu, basis.ne)
-    if xa > 1.0:
-        return sas_coefficients_at(params, basis.nu, basis.ne)
-    if xa == 1.0:
-        raise ProjectionAnnihilationError(
-            "odd projection annihilates the coherent state at the separatrix")
-    state = normal_odd_state(params)
-    if state.degenerate:
-        raise ValueError("odd trial state is degenerate at gamma = 0")
-    c0, c1 = state.coefficients
-    vec[basis.index_of(0, 1)] = c0
-    vec[basis.index_of(1, 0)] = c1
-    return vec
-
-
 def fidelity(params: ModelParams, parity: str, tol: float = 1e-8,
-             lambda_cap: int = 400,
+             lambda_cap: int = DEFAULT_LAMBDA_CAP,
              exact: SpectralResult | None = None) -> float:
     """|<trial|exact ground of the sector>|^2, both in the same basis.
 
@@ -113,18 +71,24 @@ class FidelityCurve:
     omega_a: float
     n_atoms: int
     gammas: np.ndarray
-    values: np.ndarray            # nan at annihilation points
-    lambda_maxes: np.ndarray
+    values: np.ndarray            # nan at flagged points
+    lambda_maxes: np.ndarray      # nan where the exact solve failed
     flags: list = field(default_factory=list)
 
 
 def fidelity_curve(omega_a: float, n_atoms: int, parity: str,
-                   gammas, tol: float = 1e-8, jobs: int = 1) -> FidelityCurve:
+                   gammas, tol: float = 1e-8, jobs: int = 1,
+                   lambda_cap: int = DEFAULT_LAMBDA_CAP) -> FidelityCurve:
+    """Fidelity per coupling; a point whose exact solve fails to converge
+    becomes a flagged nan instead of aborting the curve."""
     gammas = np.asarray(list(gammas), dtype=float)
 
     def one(gamma: float):
         params = ModelParams(omega_a, gamma, n_atoms)
-        exact = converge_ground(params, parity, tol=tol, k=1)
+        try:
+            exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
+        except ConvergenceError as exc:
+            return math.nan, math.nan, type(exc).__name__
         try:
             val = fidelity(params, parity, tol=tol, exact=exact)
             return val, exact.lambda_max, ""
@@ -137,7 +101,7 @@ def fidelity_curve(omega_a: float, n_atoms: int, parity: str,
     else:
         results = [one(g) for g in gammas]
     values = np.array([r[0] for r in results])
-    lams = np.array([r[1] for r in results])
+    lams = np.array([r[1] for r in results], dtype=float)
     flags = [r[2] for r in results]
     return FidelityCurve(parity, omega_a, n_atoms, gammas, values, lams, flags)
 
@@ -178,7 +142,8 @@ class VerificationReport:
 
 
 def verify_table(params: ModelParams, closed_form_tol: float = 1e-8,
-                 physics_tol: float = 0.05, tol: float = 1e-8) -> VerificationReport:
+                 physics_tol: float = 0.05, tol: float = 1e-8,
+                 lambda_cap: int = DEFAULT_LAMBDA_CAP) -> VerificationReport:
     """Three-way check of every tabulated row, per parity: the closed-form
     entry against the constructed-state oracle (flag above closed_form_tol)
     and the oracle against exact diagonalization (flag above physics_tol,
@@ -189,7 +154,7 @@ def verify_table(params: ModelParams, closed_form_tol: float = 1e-8,
     for parity in ("even", "odd"):
         closed_form = table_closed_forms_sas(params, parity)
         oracle = state_observables(build_sas_state(params, parity))
-        exact_res = converge_ground(params, parity, tol=tol, k=1)
+        exact_res = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
         exact = eigen_observables(exact_res.eigenvectors[:, 0], exact_res.basis)
         for name in TABLE_ROW_NAMES:
             o = getattr(oracle, name)
@@ -288,16 +253,17 @@ def _gradient_columns(params: ModelParams) -> tuple[float, float, float, float]:
 
 
 def figure_data(figure_id: int, omega_a: float = 1.0, n_atoms: int | None = None,
-                gammas=None, tol: float = 1e-8, jobs: int = 1) -> Dataset:
+                gammas=None, tol: float = 1e-8, jobs: int = 1,
+                lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
     """Plot-ready rows reproducing one of the nine reference figures."""
     if figure_id not in FIGURE_TITLES:
         raise ValueError(f"unknown figure id {figure_id}; valid ids are 1..9")
     meta = {"figure": figure_id, "title": FIGURE_TITLES[figure_id], "omega_a": omega_a}
     builder = _FIGURE_BUILDERS[figure_id]
-    return builder(meta, omega_a, n_atoms, gammas, tol, jobs)
+    return builder(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap)
 
 
-def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     n = n_atoms or 20
     gc = math.sqrt(omega_a) / 2.0
     if gammas is None:
@@ -312,7 +278,7 @@ def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, jobs):
                           "dE_dq_odd", "dE_dtheta_odd"], rows)
 
 
-def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     ns = [n_atoms] if n_atoms else [20, 50, 100]
     gc = math.sqrt(omega_a) / 2.0
     if gammas is None:
@@ -333,14 +299,14 @@ def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, jobs):
 
 
 def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8,
-                     jobs: int = 1) -> Dataset:
+                     jobs: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
     """Exact and variational energies of both sectors along a coupling grid."""
     gammas = np.asarray(list(gammas), dtype=float)
 
     def one(gamma: float):
         p = ModelParams(omega_a, float(gamma), n_atoms)
-        e_even = converge_ground(p, "even", tol=tol).eigenvalues[0]
-        e_odd = converge_ground(p, "odd", tol=tol).eigenvalues[0]
+        e_even = converge_ground(p, "even", tol=tol, lambda_cap=lambda_cap).eigenvalues[0]
+        e_odd = converge_ground(p, "odd", tol=tol, lambda_cap=lambda_cap).eigenvalues[0]
         return (float(gamma), float(e_even), float(e_odd),
                 variational_energy(p, "even"), variational_energy(p, "odd"))
 
@@ -354,16 +320,16 @@ def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8,
                           "E_sas_even", "E_sas_odd"], rows)
 
 
-def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     n = n_atoms or 20
     if gammas is None:
         gammas = np.arange(0.0, 1.2000001, 0.02)
-    ds = spectrum_dataset(omega_a, n, gammas, tol=tol, jobs=jobs)
+    ds = spectrum_dataset(omega_a, n, gammas, tol=tol, jobs=jobs, lambda_cap=lambda_cap)
     ds.meta = {**meta, **ds.meta}
     return ds
 
 
-def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     ns = [n_atoms] if n_atoms else [2, 10, 20, 100]
     xs = np.arange(1.0, 3.0000001, 0.01) if gammas is None else np.asarray(gammas)
     meta.update({"n_atoms": ns})
@@ -376,7 +342,7 @@ def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, jobs):
     return Dataset(meta, ["x"] + [f"F_N{n}" for n in ns], rows)
 
 
-def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, name):
+def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, name):
     n = n_atoms or 10
     gc = math.sqrt(omega_a) / 2.0
     if gammas is None:
@@ -385,8 +351,8 @@ def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, name):
     rows = []
     for gamma in gammas:
         p = ModelParams(omega_a, float(gamma), n)
-        exact_e = converge_ground(p, "even", tol=tol)
-        exact_o = converge_ground(p, "odd", tol=tol)
+        exact_e = converge_ground(p, "even", tol=tol, lambda_cap=lambda_cap)
+        exact_o = converge_ground(p, "odd", tol=tol, lambda_cap=lambda_cap)
         val_e = getattr(eigen_observables(exact_e.eigenvectors[:, 0], exact_e.basis), name)
         val_o = getattr(eigen_observables(exact_o.eigenvectors[:, 0], exact_o.basis), name)
         if abs(gamma) >= gc:
@@ -402,15 +368,15 @@ def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, name):
                           "exact_odd", "coherent", "flag"], rows)
 
 
-def _fig_var_jx(meta, omega_a, n_atoms, gammas, tol, jobs):
-    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, "var_jx")
+def _fig_var_jx(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, "var_jx")
 
 
-def _fig_var_q(meta, omega_a, n_atoms, gammas, tol, jobs):
-    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, "var_q")
+def _fig_var_q(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, "var_q")
 
 
-def _fig_joint(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_joint(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
@@ -424,7 +390,7 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, jobs):
     return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], rows)
 
 
-def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     ns = [n_atoms] if n_atoms else [10, 20, 40, 50]
     if gammas is None:
         gammas = np.arange(0.05, 1.2000001, 0.025)
@@ -435,7 +401,8 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs):
     for n in ns:
         for parity in ("even", "odd"):
             columns.append(f"fid_{parity}_N{n}")
-            series.append(fidelity_curve(omega_a, n, parity, gammas, tol=tol, jobs=jobs))
+            series.append(fidelity_curve(omega_a, n, parity, gammas, tol=tol, jobs=jobs,
+                                         lambda_cap=lambda_cap))
     rows = []
     for i, gamma in enumerate(gammas):
         row = [float(gamma)]
@@ -446,7 +413,7 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs):
     return Dataset(meta, columns, rows)
 
 
-def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, jobs):
+def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     n = n_atoms or 10
     gamma_list = [0.55, 1.0] if gammas is None else [float(g) for g in gammas]
     meta.update({"n_atoms": n, "gammas": gamma_list})

@@ -85,6 +85,59 @@ class TestFidelity:
         assert float(rows[2][2]) > 0.5
 
 
+def _table(out):
+    lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
+    head = lines[0].split(",")
+    return [dict(zip(head, l.split(","))) for l in lines[1:]]
+
+
+class TestLambdaMaxCap:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("verify",),
+        ("figures", "--id", "3"),
+        ("figures", "--id", "5"),
+        ("figures", "--id", "6"),
+    ])
+    def test_cap_below_seed_fails(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--n-atoms", "10", "--gamma", "1",
+                               "--lambda-max-cap", "4")
+        assert code == 1
+        assert "lambda_max cap 4" in err
+
+    def test_fidelity_flags_the_capped_point(self, capsys):
+        code, out, _ = run_cli(capsys, "fidelity", "--n-atoms", "10", "--gamma-min", "0.2",
+                               "--gamma-max", "1", "--steps", "2", "--parity", "even",
+                               "--lambda-max-cap", "30")
+        assert code == 0
+        low, high = _table(out)
+        assert float(low["fidelity"]) > 0.9 and low["flag"] == ""
+        assert int(low["lambda_max"]) <= 30
+        assert high["fidelity"] == "" and high["lambda_max"] == ""
+        assert high["flag"] == "ConvergenceError"
+
+    def test_figure_8_null_at_capped_point(self, capsys):
+        code, out, _ = run_cli(capsys, "figures", "--id", "8", "--n-atoms", "10",
+                               "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "2",
+                               "--lambda-max-cap", "30")
+        assert code == 0
+        low, high = _table(out)
+        assert float(low["fid_even_N10"]) > 0.9
+        assert high["fid_even_N10"] == "" and high["fid_odd_N10"] == ""
+
+    def test_exact_observables_keep_good_rows(self, capsys):
+        # gamma = 1 needs lambda_max ~ 473 at N = 200, above the default cap of 400
+        code, out, _ = run_cli(capsys, "observables", "--source", "exact", "--n-atoms", "200",
+                               "--gamma-min", "0.2", "--gamma-max", "1.0", "--steps", "2",
+                               "--parity", "even")
+        assert code == 0
+        low, high = _table(out)
+        assert low["flag"] == "" and int(low["lambda_max"]) <= 400
+        assert float(low["n_photons"]) > 0
+        assert high["flag"] == "ConvergenceError"
+        assert high["n_photons"] == "" and high["lambda_max"] == ""
+
+
 class TestDistributions:
     def test_joint_sums_to_one(self, capsys):
         code, out, _ = run_cli(capsys, "distributions", "--gamma", "0.55",

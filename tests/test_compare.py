@@ -82,6 +82,13 @@ class TestFidelity:
         assert np.all((curve.values[~np.isnan(curve.values)] >= 0)
                       & (curve.values[~np.isnan(curve.values)] <= 1 + 1e-12))
 
+    def test_curve_flags_convergence_failure(self):
+        # x = 2 needs lambda_max 52 at N = 10, above the cap
+        curve = fidelity_curve(1.0, 10, "even", [0.2, 1.0], lambda_cap=30)
+        assert curve.flags == ["", "ConvergenceError"]
+        assert curve.values[0] > 0.9 and math.isnan(curve.values[1])
+        assert curve.lambda_maxes[0] <= 30 and math.isnan(curve.lambda_maxes[1])
+
     def test_curve_jobs_deterministic(self):
         grid = [0.2, 0.6, 0.9]
         a = fidelity_curve(1.0, 8, "even", grid, jobs=1)

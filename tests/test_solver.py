@@ -2,19 +2,30 @@ import numpy as np
 import pytest
 
 import brute
+from dickelab import solver
 from dickelab.errors import ConvergenceError
 from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
 from dickelab.solver import (
+    RESIDUAL_TOL,
+    SHIFT_MARGIN,
     coherent_photon_number,
     converge_ground,
     initial_lambda,
     lowest_eigenpairs,
+    variational_energy,
+    variational_vector,
 )
 
 
 def _solve(params, lam_max, parity, k):
     basis = build_sector_basis(params, lam_max, parity)
     return lowest_eigenpairs(build_hamiltonian(params, basis), k)
+
+
+def _assert_settled(res, params, parity, k, tol):
+    """The accepted eigenvalues agree with a solve 40 shells larger within tol |E|."""
+    wide = _solve(params, res.lambda_max + 40, parity, k).eigenvalues
+    assert np.all(np.abs(res.eigenvalues - wide) <= tol * np.abs(wide))
 
 
 class TestLowestEigenpairs:
@@ -91,13 +102,16 @@ class TestConvergeGround:
         res = converge_ground(p, "even", tol=1e-8)
         assert res.converged
         assert res.lambda_max < 400
-        assert len(res.history) >= 2
+        # one solve settles at the seed
+        assert [lam for lam, _ in res.history] == [initial_lambda(p)]
+        _assert_settled(res, p, "even", 1, 1e-8)
 
     def test_gamma_zero_converges_immediately(self):
         p = ModelParams(1.0, 0.0, 6)
         res = converge_ground(p, "even", tol=1e-12)
         assert res.converged
-        assert len(res.history) == 2  # first comparison already settles
+        assert [lam for lam, _ in res.history] == [initial_lambda(p)]  # nothing leaks
+        _assert_settled(res, p, "even", 1, 1e-12)
         assert res.eigenvalues[0] == pytest.approx(-3.0, abs=1e-14)
 
     def test_zero_tolerance_rejected(self):
@@ -135,3 +149,93 @@ class TestConvergeGround:
         e_even = converge_ground(p, "even", tol=1e-8).eigenvalues[0]
         e_odd = converge_ground(p, "odd", tol=1e-8).eigenvalues[0]
         assert abs(e_even - e_odd) < 1e-3 * p.n_atoms
+
+
+class TestOneVerifiedSolve:
+    # normal phase, just below and at the separatrix, superradiant phase
+    @pytest.mark.parametrize("n_atoms,x", [(12, 0.5), (30, 0.98), (20, 1.0), (24, 2.0)])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_settles_within_tolerance(self, n_atoms, x, parity, k):
+        p = ModelParams.from_ratio(1.0, x, n_atoms)
+        res = converge_ground(p, parity, tol=1e-8, k=k)
+        assert res.converged
+        _assert_settled(res, p, parity, k, 1e-8)
+        assert np.all(res.residuals <= RESIDUAL_TOL)
+        assert np.all(10.0 * res.truncation_estimate <= 1e-8 * np.abs(res.eigenvalues))
+        assert res.path in ("dense", "variational shift-invert")
+        assert res.attempts == []
+        # the exact sector ground energy lies below the variational bound
+        assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-12
+
+    def test_separatrix_odd_excess_below_margin(self):
+        # largest variational excess measured; the shift must still clear it
+        p = ModelParams.from_ratio(1.0, 0.98, 30)
+        res = converge_ground(p, "odd", tol=1e-8)
+        assert res.path == "variational shift-invert"
+        assert 0.0 < variational_energy(p, "odd") - res.eigenvalues[0] < SHIFT_MARGIN
+
+    def test_guess_above_first_excited_rejected(self):
+        p = ModelParams.from_ratio(1.0, 1.5, 20)
+        basis = build_sector_basis(p, initial_lambda(p), "even")
+        op = build_hamiltonian(p, basis)
+        assert op.dimension > solver.DENSE_CUTOFF
+        e0, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
+        guess = 0.5 * (e1 + e2) + SHIFT_MARGIN  # puts the shift between E1 and E2
+        res = lowest_eigenpairs(op, 1, guess=guess,
+                                start=variational_vector(p, "even", basis))
+        assert res.attempts == [
+            f"variational shift-invert: 2 eigenvalues below shift {guess - SHIFT_MARGIN:.6g}"]
+        assert res.path == "gershgorin shift-invert"
+        assert res.eigenvalues[0] == pytest.approx(e0, abs=1e-9)
+
+    def test_dense_ceiling_raises_with_diagnostics(self, monkeypatch):
+        p = ModelParams(1.0, 1.0, 10)
+        op = build_hamiltonian(p, build_sector_basis(p, 60, "even"))
+        dim = op.dimension
+        assert dim > solver.DENSE_CUTOFF
+
+        def wrong_vectors(H, k, **kwargs):  # converges, but to garbage
+            return np.zeros(k), np.eye(H.shape[0], k)
+
+        monkeypatch.setattr(solver.spla, "eigsh", wrong_vectors)
+        monkeypatch.setattr(solver, "DENSE_MAX_DIM", dim - 1)
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op, 1, guess=variational_energy(p, "even"))
+        diag = err.value.diagnostics
+        assert diag["dim"] == dim
+        assert [a.split(":")[0] for a in diag["attempts"]] == [
+            "variational shift-invert", "gershgorin shift-invert", "SA", "dense fallback"]
+        assert "ceiling" in diag["attempts"][-1]
+        assert diag["residuals"].shape == (1,) and diag["residuals"][0] > RESIDUAL_TOL
+
+    def test_dense_fallback_below_ceiling(self, monkeypatch):
+        p = ModelParams(1.0, 1.0, 10)
+        op = build_hamiltonian(p, build_sector_basis(p, 60, "even"))
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("no convergence")
+
+        monkeypatch.setattr(solver.spla, "eigsh", failing)
+        res = lowest_eigenpairs(op, 2)
+        assert res.path == "dense fallback"
+        assert len(res.attempts) == 2
+        dense = np.linalg.eigvalsh(op.toarray())[:2]
+        assert np.allclose(res.eigenvalues, dense, atol=1e-10)
+
+    def test_cap_error_carries_record(self):
+        p = ModelParams(1.0, 1.0, 20)
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, "even", tol=1e-8, lambda_start=50, lambda_cap=52)
+        diag = err.value.diagnostics
+        assert diag["dim"] == err.value.best.basis.size > solver.DENSE_CUTOFF
+        assert diag["path"] == "variational shift-invert"
+        assert diag["truncation_estimate"][0] > 0.0
+        assert diag["residuals"][0] <= RESIDUAL_TOL
+        assert [lam for lam, _ in diag["history"]] == [50, 52]
+
+    def test_seed_above_cap_raises_without_solving(self):
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(ModelParams(1.0, 1.0, 10), "even", lambda_cap=4)
+        assert err.value.best is None
+        assert err.value.diagnostics["history"] == []
