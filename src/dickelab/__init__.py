@@ -56,7 +56,6 @@ from .sas import (
 )
 from .solver import (
     SpectralResult,
-    coherent_photon_number,
     converge_ground,
     initial_lambda,
     lowest_eigenpairs,

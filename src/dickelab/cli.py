@@ -14,16 +14,23 @@ import numpy as np
 
 from . import __version__
 from .compare import (
-    fidelity_curve,
+    FIGURE_TITLES,
+    fidelity_scan,
     figure_data,
     spectrum_dataset,
+    sweep,
     verify_table,
 )
 from .dataset import Dataset
 from .errors import ConvergenceError, DickeLabError, ProjectionAnnihilationError
-from .model import ModelParams
 from .observables import ObservableSet, eigen_observables
-from .sas import coherent_observables, sas_observables
+from .sas import (
+    coherent_observables,
+    joint_distribution_sas,
+    marginal_excited,
+    marginal_photon,
+    sas_observables,
+)
 from .solver import converge_ground
 
 
@@ -41,13 +48,17 @@ class RunConfig:
     lambda_max_cap: int
     fmt: str
     out: str | None
-    jobs: int
+    figure_id: int | None = None
 
     def validate(self) -> None:
+        if self.n_atoms < 1:
+            raise UsageError("--n-atoms must be >= 1")
+        if not self.omega_a > 0:
+            raise UsageError("--omega-a must be > 0")
+        if self.figure_id is not None and self.figure_id not in FIGURE_TITLES:
+            raise UsageError(f"unknown figure id {self.figure_id}; valid ids are 1..9")
         if self.tol <= 0:
             raise UsageError("--tol must be > 0")
-        if self.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
         if self.lambda_max_cap < 2:
             raise UsageError("--lambda-max-cap must be >= 2")
         has_range = any(v is not None for v in (self.gamma_min, self.gamma_max, self.steps))
@@ -99,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda-max-cap", type=int, default=400)
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        sp.add_argument("--jobs", type=int, default=1, help="scan parallelism")
 
     add_common(sub.add_parser("spectrum", help="exact and variational energies on a gamma grid"))
     p_obs = sub.add_parser("observables", help="expectation values and fluctuations")
@@ -131,7 +141,7 @@ def _config_from_args(args) -> RunConfig:
         lambda_max_cap=args.lambda_max_cap,
         fmt=args.fmt,
         out=args.out,
-        jobs=args.jobs,
+        figure_id=getattr(args, "figure_id", None),
     )
     cfg.validate()
     return cfg
@@ -150,84 +160,57 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 def _cmd_spectrum(cfg: RunConfig, args) -> Dataset:
     ds = spectrum_dataset(cfg.omega_a, cfg.n_atoms, cfg.gammas(),
-                          tol=cfg.tol, jobs=cfg.jobs, lambda_cap=cfg.lambda_max_cap)
+                          tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
     ds.meta = {**_base_meta(cfg), **ds.meta}
     return ds
 
 
 def _cmd_observables(cfg: RunConfig, args) -> Dataset:
     names = ObservableSet.names()
+
+    def point(params, parity):
+        if args.source == "exact":
+            res = converge_ground(params, parity, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+            return eigen_observables(res.eigenvectors[:, 0], res.basis), res.lambda_max
+        if args.source == "sas":
+            return sas_observables(params, parity), None
+        return coherent_observables(params), None
+
     rows = []
-    for gamma in cfg.gammas():
-        params = ModelParams(cfg.omega_a, float(gamma), cfg.n_atoms)
-        for parity in cfg.parities():
-            flag = ""
-            lam_max = None
-            try:
-                if args.source == "exact":
-                    res = converge_ground(params, parity, tol=cfg.tol,
-                                          lambda_cap=cfg.lambda_max_cap)
-                    obs = eigen_observables(res.eigenvectors[:, 0], res.basis)
-                    lam_max = res.lambda_max
-                elif args.source == "sas":
-                    obs = sas_observables(params, parity)
-                else:
-                    obs = coherent_observables(params)
-                values = [getattr(obs, k) for k in names]
-            except (ValueError, ProjectionAnnihilationError, ConvergenceError) as exc:
-                values = [None] * len(names)
-                flag = type(exc).__name__
-            rows.append((float(gamma), parity, *values, lam_max, flag))
+    for params, parity, value, flag in sweep(
+            cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(), point,
+            (ValueError, ProjectionAnnihilationError, ConvergenceError)):
+        obs, lam_max = value or (None, None)
+        values = [None if obs is None else getattr(obs, k) for k in names]
+        rows.append((params.gamma, parity, *values, lam_max, flag))
     meta = {**_base_meta(cfg), "source": args.source}
     return Dataset(meta, ["gamma", "parity", *names, "lambda_max", "flag"], rows)
 
 
 def _cmd_fidelity(cfg: RunConfig, args) -> Dataset:
-    gammas = cfg.gammas()
-    rows_by_parity = {}
-    for parity in cfg.parities():
-        curve = fidelity_curve(cfg.omega_a, cfg.n_atoms, parity, gammas,
-                               tol=cfg.tol, jobs=cfg.jobs, lambda_cap=cfg.lambda_max_cap)
-        rows_by_parity[parity] = curve
-    rows = []
-    for i, gamma in enumerate(gammas):
-        for parity in cfg.parities():
-            curve = rows_by_parity[parity]
-            val = curve.values[i]
-            lam = curve.lambda_maxes[i]
-            rows.append((float(gamma), parity,
-                         None if np.isnan(val) else float(val),
-                         None if np.isnan(lam) else int(lam), curve.flags[i]))
+    rows = fidelity_scan(cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(),
+                         tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
     return Dataset(_base_meta(cfg), ["gamma", "parity", "fidelity", "lambda_max", "flag"], rows)
 
 
 def _cmd_distributions(cfg: RunConfig, args) -> Dataset:
-    from .sas import joint_distribution_sas, marginal_excited, marginal_photon
+    def point(params, parity):  # (nu, n_e, p) cells
+        if args.kind == "joint":
+            m = joint_distribution_sas(params, parity).matrix.tolist()
+            return [(nu, ne, p) for nu, row in enumerate(m) for ne, p in enumerate(row)]
+        if args.kind == "photon":
+            return [(k, None, p) for k, p in enumerate(marginal_photon(params, parity).tolist())]
+        return [(None, k, p) for k, p in enumerate(marginal_excited(params, parity).tolist())]
 
-    rows = []
-    nu_max_seen = 0
-    for gamma in cfg.gammas():
-        params = ModelParams(cfg.omega_a, float(gamma), cfg.n_atoms)
-        for parity in cfg.parities():
-            try:
-                if args.kind == "joint":
-                    jd = joint_distribution_sas(params, parity)
-                    nu_max_seen = max(nu_max_seen, jd.nu_max)
-                    for nu in range(jd.matrix.shape[0]):
-                        for ne in range(cfg.n_atoms + 1):
-                            rows.append((float(gamma), parity, nu, ne,
-                                         float(jd.matrix[nu, ne]), ""))
-                elif args.kind == "photon":
-                    pmf = marginal_photon(params, parity)
-                    for k, v in enumerate(pmf):
-                        rows.append((float(gamma), parity, k, None, float(v), ""))
-                else:
-                    pmf = marginal_excited(params, parity)
-                    for k, v in enumerate(pmf):
-                        rows.append((float(gamma), parity, None, k, float(v), ""))
-            except (ValueError, ProjectionAnnihilationError) as exc:
-                rows.append((float(gamma), parity, None, None, None, type(exc).__name__))
-    meta = {**_base_meta(cfg), "kind": args.kind, "nu_max": nu_max_seen}
+    rows = [(params.gamma, parity, *cell, flag)
+            for params, parity, cells, flag in sweep(
+                cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(), point,
+                (ValueError, ProjectionAnnihilationError))
+            for cell in cells or [(None, None, None)]]
+    nu_max = 0
+    if args.kind == "joint":
+        nu_max = max((r[2] for r in rows if r[2] is not None), default=0)
+    meta = {**_base_meta(cfg), "kind": args.kind, "nu_max": nu_max}
     return Dataset(meta, ["gamma", "parity", "nu", "n_e", "p", "flag"], rows)
 
 
@@ -236,24 +219,27 @@ def _cmd_figures(cfg: RunConfig, args) -> Dataset:
     if cfg.gamma is not None or cfg.gamma_min is not None:
         gammas = cfg.gammas()
     ds = figure_data(args.figure_id, omega_a=cfg.omega_a, n_atoms=args.n_atoms,
-                     gammas=gammas, tol=cfg.tol, jobs=cfg.jobs,
-                     lambda_cap=cfg.lambda_max_cap)
+                     gammas=gammas, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
     ds.meta = {"command": "figures", "version": __version__, **ds.meta}
     return ds
 
 
 def _cmd_verify(cfg: RunConfig, args) -> Dataset:
+    def point(params, parity):  # one report covers both parities
+        return verify_table(params, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+
+    reports = [report for _, _, report, _ in
+               sweep(cfg.omega_a, cfg.n_atoms, cfg.gammas(), ["both"], point)]
     rows = []
-    for gamma in cfg.gammas():
-        params = ModelParams(cfg.omega_a, float(gamma), cfg.n_atoms)
-        report = verify_table(params, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+    for report in reports:
         for r in report.rows:
             status = "flagged" if r.flag_closed_form else "ok"
             if r.flag_exact:
                 status += "+exact-deviation"
-            rows.append((float(gamma), r.name, r.parity, r.closed_form, r.oracle,
+            rows.append((report.params.gamma, r.name, r.parity, r.closed_form, r.oracle,
                          r.exact, r.dev_closed_oracle, r.dev_oracle_exact, status))
-    meta = {**_base_meta(cfg), "closed_form_tol": 1e-8, "physics_tol": 0.05}
+    meta = {**_base_meta(cfg), "closed_form_tol": reports[0].closed_form_tol,
+            "physics_tol": reports[0].physics_tol}
     return Dataset(meta, ["gamma", "observable", "parity", "closed_form", "oracle",
                           "exact", "dev_closed_oracle", "dev_oracle_exact", "status"], rows)
 
@@ -276,23 +262,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         dataset = _HANDLERS[args.command](cfg, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # bad figure ids and domain errors on single-point commands are
-        # usage-level; scans degrade to flagged rows instead of raising
-        if args.command == "figures" and "figure id" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
-    except DickeLabError as exc:
+    except (ValueError, DickeLabError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     text = dataset.render(cfg.fmt)

@@ -1,28 +1,31 @@
 """Quantitative bridge between the exact and variational descriptions:
-fidelity scans, closed-form table verification against the constructed-state
-oracle and exact diagonalization, and figure-data generation.
+coupling sweeps, fidelity scans, closed-form table verification against the
+constructed-state oracle and exact diagonalization, and figure-data
+generation.
 """
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import ConvergenceError, ProjectionAnnihilationError
-from .model import ModelParams
+from .model import ModelParams, gamma_critical
 from .observables import eigen_observables
 from .sas import (
+    TABLE_ROW_NAMES,
+    build_sas_state,
     coherent_observables,
     joint_distribution_sas,
     marginal_excited,
     marginal_photon,
-    table_closed_forms_sas,
-    build_sas_state,
+    photon_number_coherent,
     sas_observables,
     state_observables,
+    table_closed_forms_sas,
 )
 from .solver import (  # the trial states live with the solver they seed
     DEFAULT_LAMBDA_CAP,
@@ -38,11 +41,30 @@ from .surface import (
     surface_gradient,
 )
 
-TABLE_ROW_NAMES = [
-    "q", "p", "jx", "jy", "jz", "n_photons", "lam",
-    "var_q", "var_p", "var_jx", "var_jy", "var_jz", "var_n_photons",
-    "jz_n_photons", "jx_q",
-]
+
+def sweep(omega_a: float, n_atoms: int, gammas, parities, point,
+          flagged: tuple = ()) -> list[tuple]:
+    """One coupling scan: ``point(params, parity)`` for each gamma and, within
+    it, each parity.
+
+    Returns (params, parity, value, flag) per point.  The parameters are built
+    outside the error handling, so a bad one fails the scan; an exception of a
+    type in ``flagged`` becomes value None, flagged with its type name.
+    """
+    out = []
+    for gamma in gammas:
+        params = ModelParams(omega_a, float(gamma), n_atoms)
+        for parity in parities:
+            try:
+                out.append((params, parity, point(params, parity), ""))
+            except flagged as exc:
+                out.append((params, parity, None, type(exc).__name__))
+    return out
+
+
+def _by_gamma(scan: list[tuple]) -> list[tuple]:
+    """(params, even value, odd value) from a sweep over ("even", "odd")."""
+    return [(even[0], even[2], odd[2]) for even, odd in zip(scan[0::2], scan[1::2])]
 
 
 def fidelity(params: ModelParams, parity: str, tol: float = 1e-8,
@@ -76,34 +98,35 @@ class FidelityCurve:
     flags: list = field(default_factory=list)
 
 
+def _fidelity_point(params: ModelParams, parity: str, tol: float,
+                    lambda_cap: int) -> tuple:
+    exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
+    try:
+        return fidelity(params, parity, tol=tol, exact=exact), exact.lambda_max, ""
+    except ProjectionAnnihilationError:
+        return None, exact.lambda_max, "annihilated"
+
+
+def fidelity_scan(omega_a: float, n_atoms: int, gammas, parities, tol: float = 1e-8,
+                  lambda_cap: int = DEFAULT_LAMBDA_CAP) -> list[tuple]:
+    """(gamma, parity, fidelity, lambda_max, flag) per point.  The fidelity is
+    None where the odd trial state is annihilated, and both values are None
+    where the exact solve does not converge (flag "ConvergenceError")."""
+    point = functools.partial(_fidelity_point, tol=tol, lambda_cap=lambda_cap)
+    return [(params.gamma, parity, *(value or (None, None, flag)))
+            for params, parity, value, flag
+            in sweep(omega_a, n_atoms, gammas, parities, point, (ConvergenceError,))]
+
+
 def fidelity_curve(omega_a: float, n_atoms: int, parity: str,
-                   gammas, tol: float = 1e-8, jobs: int = 1,
+                   gammas, tol: float = 1e-8,
                    lambda_cap: int = DEFAULT_LAMBDA_CAP) -> FidelityCurve:
-    """Fidelity per coupling; a point whose exact solve fails to converge
-    becomes a flagged nan instead of aborting the curve."""
+    """fidelity_scan of one parity, with nan at the flagged points."""
     gammas = np.asarray(list(gammas), dtype=float)
-
-    def one(gamma: float):
-        params = ModelParams(omega_a, gamma, n_atoms)
-        try:
-            exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
-        except ConvergenceError as exc:
-            return math.nan, math.nan, type(exc).__name__
-        try:
-            val = fidelity(params, parity, tol=tol, exact=exact)
-            return val, exact.lambda_max, ""
-        except ProjectionAnnihilationError:
-            return math.nan, exact.lambda_max, "annihilated"
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, gammas))
-    else:
-        results = [one(g) for g in gammas]
-    values = np.array([r[0] for r in results])
-    lams = np.array([r[1] for r in results], dtype=float)
-    flags = [r[2] for r in results]
-    return FidelityCurve(parity, omega_a, n_atoms, gammas, values, lams, flags)
+    rows = fidelity_scan(omega_a, n_atoms, gammas, [parity], tol, lambda_cap)
+    values = np.array([math.nan if r[2] is None else r[2] for r in rows], dtype=float)
+    lams = np.array([math.nan if r[3] is None else r[3] for r in rows], dtype=float)
+    return FidelityCurve(parity, omega_a, n_atoms, gammas, values, lams, [r[4] for r in rows])
 
 
 # -- closed-form table verification ---------------------------------------------
@@ -208,18 +231,16 @@ def smoothness_audit(omega_a: float = 1.0, n_atoms: int = 20,
     if gammas is None:
         gammas = np.arange(0.30, 1.0000001, 0.01)
     gammas = np.asarray(list(gammas), dtype=float)
-    n_phot = np.zeros_like(gammas)
-    n_exc = np.zeros_like(gammas)
-    bound = np.zeros_like(gammas)
-    for i, gamma in enumerate(gammas):
-        params = ModelParams(omega_a, gamma, n_atoms)
-        res = converge_ground(params, "even", tol=tol, k=1)
+
+    def point(params, parity):
+        res = converge_ground(params, parity, tol=tol, k=1)
         w = res.eigenvectors[:, 0] ** 2
-        n_phot[i] = float(w @ res.basis.nu)
-        n_exc[i] = float(w @ res.basis.ne)
-        xa = abs(params.x)
-        mu = (n_atoms * params.gamma_c ** 2 * xa ** 2 * (1 - xa ** -4)) if xa > 1 else 0.0
-        bound[i] = mu + n_atoms
+        return float(w @ res.basis.nu), float(w @ res.basis.ne)
+
+    scan = sweep(omega_a, n_atoms, gammas, ("even",), point)
+    n_phot = np.array([value[0] for _, _, value, _ in scan], dtype=float)
+    n_exc = np.array([value[1] for _, _, value, _ in scan], dtype=float)
+    bound = np.array([photon_number_coherent(p) + n_atoms for p, _, _, _ in scan], dtype=float)
     finite = bool(np.all(np.isfinite(n_phot)) and np.all(np.isfinite(n_exc)))
     bounded = bool(np.all(n_phot <= bound))
     ok2 = _second_diff_bounded(n_phot) and _second_diff_bounded(n_exc)
@@ -253,19 +274,19 @@ def _gradient_columns(params: ModelParams) -> tuple[float, float, float, float]:
 
 
 def figure_data(figure_id: int, omega_a: float = 1.0, n_atoms: int | None = None,
-                gammas=None, tol: float = 1e-8, jobs: int = 1,
+                gammas=None, tol: float = 1e-8,
                 lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
     """Plot-ready rows reproducing one of the nine reference figures."""
     if figure_id not in FIGURE_TITLES:
         raise ValueError(f"unknown figure id {figure_id}; valid ids are 1..9")
     meta = {"figure": figure_id, "title": FIGURE_TITLES[figure_id], "omega_a": omega_a}
     builder = _FIGURE_BUILDERS[figure_id]
-    return builder(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap)
+    return builder(meta, omega_a, n_atoms, gammas, tol, lambda_cap)
 
 
-def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 20
-    gc = math.sqrt(omega_a) / 2.0
+    gc = gamma_critical(omega_a)
     if gammas is None:
         gammas = np.arange(gc + 0.005, 1.2000001, 0.005)
     meta.update({"n_atoms": n})
@@ -278,9 +299,9 @@ def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
                           "dE_dq_odd", "dE_dtheta_odd"], rows)
 
 
-def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     ns = [n_atoms] if n_atoms else [20, 50, 100]
-    gc = math.sqrt(omega_a) / 2.0
+    gc = gamma_critical(omega_a)
     if gammas is None:
         gammas = np.arange(gc + 0.005, 1.2000001, 0.005)
     meta.update({"n_atoms": ns})
@@ -299,37 +320,30 @@ def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap)
 
 
 def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8,
-                     jobs: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
+                     lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
     """Exact and variational energies of both sectors along a coupling grid."""
-    gammas = np.asarray(list(gammas), dtype=float)
 
-    def one(gamma: float):
-        p = ModelParams(omega_a, float(gamma), n_atoms)
-        e_even = converge_ground(p, "even", tol=tol, lambda_cap=lambda_cap).eigenvalues[0]
-        e_odd = converge_ground(p, "odd", tol=tol, lambda_cap=lambda_cap).eigenvalues[0]
-        return (float(gamma), float(e_even), float(e_odd),
-                variational_energy(p, "even"), variational_energy(p, "odd"))
+    def point(params, parity):
+        exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+        return float(exact.eigenvalues[0]), variational_energy(params, parity)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, gammas))
-    else:
-        rows = [one(g) for g in gammas]
+    scan = sweep(omega_a, n_atoms, np.asarray(list(gammas), dtype=float), ("even", "odd"), point)
+    rows = [(p.gamma, even[0], odd[0], even[1], odd[1]) for p, even, odd in _by_gamma(scan)]
     meta = {"omega_a": omega_a, "n_atoms": n_atoms, "tol": tol}
     return Dataset(meta, ["gamma", "E_exact_even", "E_exact_odd",
                           "E_sas_even", "E_sas_odd"], rows)
 
 
-def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 20
     if gammas is None:
         gammas = np.arange(0.0, 1.2000001, 0.02)
-    ds = spectrum_dataset(omega_a, n, gammas, tol=tol, jobs=jobs, lambda_cap=lambda_cap)
+    ds = spectrum_dataset(omega_a, n, gammas, tol=tol, lambda_cap=lambda_cap)
     ds.meta = {**meta, **ds.meta}
     return ds
 
 
-def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     ns = [n_atoms] if n_atoms else [2, 10, 20, 100]
     xs = np.arange(1.0, 3.0000001, 0.01) if gammas is None else np.asarray(gammas)
     meta.update({"n_atoms": ns})
@@ -344,39 +358,31 @@ def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
 
 def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, name):
     n = n_atoms or 10
-    gc = math.sqrt(omega_a) / 2.0
+    gc = gamma_critical(omega_a)
     if gammas is None:
         gammas = np.arange(0.05, 1.0000001, 0.01)
     meta.update({"n_atoms": n, "observable": name})
+
+    def point(params, parity):
+        exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+        value = getattr(eigen_observables(exact.eigenvectors[:, 0], exact.basis), name)
+        if abs(params.gamma) < gc:
+            return value, None
+        return value, getattr(sas_observables(params, parity), name)
+
     rows = []
-    for gamma in gammas:
-        p = ModelParams(omega_a, float(gamma), n)
-        exact_e = converge_ground(p, "even", tol=tol, lambda_cap=lambda_cap)
-        exact_o = converge_ground(p, "odd", tol=tol, lambda_cap=lambda_cap)
-        val_e = getattr(eigen_observables(exact_e.eigenvectors[:, 0], exact_e.basis), name)
-        val_o = getattr(eigen_observables(exact_o.eigenvectors[:, 0], exact_o.basis), name)
-        if abs(gamma) >= gc:
-            sas_e = getattr(sas_observables(p, "even"), name)
-            sas_o = getattr(sas_observables(p, "odd"), name)
-            coh = getattr(coherent_observables(p), name)
-            flag = ""
+    for p, (exact_e, sas_e), (exact_o, sas_o) in _by_gamma(
+            sweep(omega_a, n, gammas, ("even", "odd"), point)):
+        if abs(p.gamma) >= gc:
+            coh, flag = getattr(coherent_observables(p), name), ""
         else:
-            sas_e = sas_o = coh = None
-            flag = "normal-phase"
-        rows.append((float(gamma), sas_e, sas_o, val_e, val_o, coh, flag))
+            coh, flag = None, "normal-phase"
+        rows.append((p.gamma, sas_e, sas_o, exact_e, exact_o, coh, flag))
     return Dataset(meta, ["gamma", "sas_even", "sas_odd", "exact_even",
                           "exact_odd", "coherent", "flag"], rows)
 
 
-def _fig_var_jx(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
-    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, "var_jx")
-
-
-def _fig_var_q(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
-    return _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, "var_q")
-
-
-def _fig_joint(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
@@ -390,7 +396,7 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], rows)
 
 
-def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     ns = [n_atoms] if n_atoms else [10, 20, 40, 50]
     if gammas is None:
         gammas = np.arange(0.05, 1.2000001, 0.025)
@@ -401,7 +407,7 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     for n in ns:
         for parity in ("even", "odd"):
             columns.append(f"fid_{parity}_N{n}")
-            series.append(fidelity_curve(omega_a, n, parity, gammas, tol=tol, jobs=jobs,
+            series.append(fidelity_curve(omega_a, n, parity, gammas, tol=tol,
                                          lambda_cap=lambda_cap))
     rows = []
     for i, gamma in enumerate(gammas):
@@ -413,7 +419,7 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
     return Dataset(meta, columns, rows)
 
 
-def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, jobs, lambda_cap):
+def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 10
     gamma_list = [0.55, 1.0] if gammas is None else [float(g) for g in gammas]
     meta.update({"n_atoms": n, "gammas": gamma_list})
@@ -436,8 +442,8 @@ _FIGURE_BUILDERS = {
     2: _fig_gradient_scaling,
     3: _fig_spectrum,
     4: _fig_f_function,
-    5: _fig_var_jx,
-    6: _fig_var_q,
+    5: functools.partial(_fluctuation_dataset, name="var_jx"),
+    6: functools.partial(_fluctuation_dataset, name="var_q"),
     7: _fig_joint,
     8: _fig_fidelity,
     9: _fig_marginals,

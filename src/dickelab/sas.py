@@ -25,7 +25,7 @@ from scipy.special import gammaln
 from .errors import ProjectionAnnihilationError, TruncationError
 from .model import ModelParams
 from .observables import ObservableSet, grid_observables
-from .surface import f_function, k_ratio
+from .surface import f_function, k_ratio, one_minus_x4
 
 ODD_LIMIT_WINDOW = 1e-8  # |x|-1 below this: use exact x->1 limits (odd branch)
 
@@ -38,10 +38,6 @@ def _require_superradiant(params: ModelParams, strict: bool = False) -> float:
         bound = "> 1" if strict else ">= 1"
         raise ValueError(f"superradiant branch requires |x| {bound}, got {params.x}")
     return xa
-
-
-def one_minus_x4(xa: float) -> float:
-    return -math.expm1(-4.0 * math.log(xa)) if xa > 1.0 else 0.0
 
 
 def photon_number_coherent(params: ModelParams) -> float:
@@ -75,7 +71,7 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
     n = params.n_atoms
     gc = params.gamma_c
     omx4 = one_minus_x4(xa)
-    mu = n * gc ** 2 * xa ** 2 * omx4
+    mu = photon_number_coherent(params)
     jz = -0.5 * n * xa ** -2
     lam = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc ** 2 * xa ** 2 * omx4)
     return ObservableSet(
@@ -146,7 +142,7 @@ def sas_observables(params: ModelParams, parity: str) -> ObservableSet:
     n = params.n_atoms
     gc = params.gamma_c
     omx4 = one_minus_x4(xa)
-    mu = n * gc ** 2 * xa ** 2 * omx4
+    mu = photon_number_coherent(params)
     log_f = f_function(params).log_f
     f = math.exp(log_f)
     denom = 1.0 + sgn * f
@@ -176,6 +172,13 @@ def sas_observables(params: ModelParams, parity: str) -> ObservableSet:
 
 
 # -- literal closed-form table rows (for the verification harness) -------------
+
+TABLE_ROW_NAMES = [
+    "q", "p", "jx", "jy", "jz", "n_photons", "lam",
+    "var_q", "var_p", "var_jx", "var_jy", "var_jz", "var_n_photons",
+    "jz_n_photons", "jx_q",
+]
+
 
 def table_closed_forms_sas(params: ModelParams, parity: str) -> dict[str, float]:
     """The symmetry-adapted column exactly as tabulated (x > 1)."""
@@ -214,29 +217,12 @@ def table_closed_forms_sas(params: ModelParams, parity: str) -> dict[str, float]
 
 
 def table_closed_forms_coherent(params: ModelParams) -> dict[str, float]:
-    """The coherent column exactly as tabulated (x >= 1)."""
-    xa = _require_superradiant(params)
-    n = params.n_atoms
-    gc = params.gamma_c
-    omx4 = one_minus_x4(xa)
-    mu = n * gc ** 2 * xa ** 2 * omx4
-    return {
-        "q": -math.sqrt(2.0 * n) * gc * xa * math.sqrt(omx4),
-        "p": 0.0,
-        "jx": 0.5 * n * math.sqrt(omx4),
-        "jy": 0.0,
-        "jz": -0.5 * n * xa ** -2,
-        "n_photons": mu,
-        "lam": 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc ** 2 * xa ** 2 * omx4),
-        "var_q": 0.5,
-        "var_p": 0.5,
-        "var_jx": 0.25 * n * xa ** -4,
-        "var_jy": 0.25 * n,
-        "var_jz": 0.25 * n * omx4,
-        "var_n_photons": mu,
-        "jz_n_photons": -n * gc ** 2 * omx4,
-        "jx_q": -math.sqrt(n ** 3 / 2.0) * gc * xa * omx4,
-    }
+    """The coherent column as tabulated (x >= 1): the faithful forms, except
+    that jz_n_photons is tabulated as -N gamma_c^2 (1 - x^-4), low by j."""
+    obs = coherent_observables(params)
+    table = {name: getattr(obs, name) for name in TABLE_ROW_NAMES}
+    table["jz_n_photons"] = -params.n_atoms * params.gamma_c ** 2 * one_minus_x4(abs(params.x))
+    return table
 
 
 # -- numerically constructed projected state -----------------------------------
@@ -257,19 +243,24 @@ class SASStateVector:
     norm_defect: float
 
 
-def _log_weights(params: ModelParams, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-log of the joint probability pieces, without parity/normalization."""
+def _log_amplitude(params: ModelParams, nu, ne):
+    """Log magnitude of the projected-state coefficient at (nu, n_e), without
+    parity and normalization; callers ensure |x| > 1."""
     xa = abs(params.x)
     n = params.n_atoms
-    nu = np.arange(nu_max + 1)[:, None]
-    ne = np.arange(n + 1)[None, :]
     log_alpha = math.log(math.sqrt(n) * params.gamma_c * xa)
-    log_one_minus = math.log(-math.expm1(-2.0 * math.log(xa)))  # callers ensure xa > 1
+    log_one_minus = math.log(-math.expm1(-2.0 * math.log(xa)))
     log_one_plus = math.log1p(xa ** -2)
     log_binom = gammaln(n + 1) - gammaln(ne + 1) - gammaln(n - ne + 1)
-    half = (nu * log_alpha - 0.5 * gammaln(nu + 1.0) + 0.5 * log_binom
+    return (nu * log_alpha - 0.5 * gammaln(nu + 1.0) + 0.5 * log_binom
             + 0.5 * (nu + ne) * log_one_minus + 0.5 * (n + nu - ne) * log_one_plus)
-    return half, (nu + ne)
+
+
+def _log_weights(params: ModelParams, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """_log_amplitude on the (nu, n_e) grid, and lambda = nu + n_e there."""
+    nu = np.arange(nu_max + 1)[:, None]
+    ne = np.arange(params.n_atoms + 1)[None, :]
+    return _log_amplitude(params, nu, ne), (nu + ne)
 
 
 def build_sas_state(params: ModelParams, parity: str, nu_max: int | None = None) -> SASStateVector:
@@ -325,16 +316,8 @@ def sas_coefficients_at(params: ModelParams, nu: np.ndarray, ne: np.ndarray) -> 
     that support.  Requires |x| > 1.
     """
     _require_superradiant(params, strict=True)
-    xa = abs(params.x)
-    n = params.n_atoms
     nu = np.asarray(nu, dtype=float)
-    ne = np.asarray(ne, dtype=float)
-    log_alpha = math.log(math.sqrt(n) * params.gamma_c * xa)
-    log_one_minus = math.log(-math.expm1(-2.0 * math.log(xa)))
-    log_one_plus = math.log1p(xa ** -2)
-    log_binom = gammaln(n + 1) - gammaln(ne + 1) - gammaln(n - ne + 1)
-    half = (nu * log_alpha - 0.5 * gammaln(nu + 1.0) + 0.5 * log_binom
-            + 0.5 * (nu + ne) * log_one_minus + 0.5 * (n + nu - ne) * log_one_plus)
+    half = _log_amplitude(params, nu, np.asarray(ne, dtype=float))
     half -= half.max()  # normalization removes the shift
     coeffs = (-1.0) ** nu * np.exp(half)
     return coeffs / np.linalg.norm(coeffs)

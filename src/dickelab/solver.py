@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import ModelParams, OperatorMatrix, SectorBasis, build_hamiltonian, build_sector_basis
-from .sas import sas_coefficients_at
+from .sas import photon_number_coherent, sas_coefficients_at
 from .surface import normal_odd_state, sas_energy_at_critical
 
 # dense eigh and the verified sparse solve both take ~1.8 ms near 200 states
@@ -143,7 +143,7 @@ def _gershgorin_lower(H) -> float:
     return float((d - radius).min())
 
 
-def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray | None):
+def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
     # relax=panel_size=1: at ~40 factor entries per row supernodes do not
@@ -168,7 +168,8 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
 
     ``guess`` is an upper bound on the lowest eigenvalue, normally the
     variational energy; above DENSE_CUTOFF states it puts the first shift at
-    guess - SHIFT_MARGIN, and ARPACK starts from ``start`` when given.  Each
+    guess - SHIFT_MARGIN.  Every ARPACK run starts from ``start`` when given,
+    else from a fixed-seed vector, so equal inputs give equal bits.  Each
     solver's failure or rejection is recorded and the next one is tried;
     ConvergenceError is raised when none meets the residual tolerance.
     """
@@ -178,13 +179,16 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
     H = op.matrix
     solvers = []
     if dim > DENSE_CUTOFF and k < dim - 1:
+        if start is None:
+            start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
         if guess is not None:
             solvers.append(("variational shift-invert",
                             lambda: _verified_shift_invert(H, k, guess - SHIFT_MARGIN, start)))
         solvers += [
             ("gershgorin shift-invert",
-             lambda: spla.eigsh(H, k=k, sigma=_gershgorin_lower(H) - 1.0, which="LM")),
-            ("SA", lambda: spla.eigsh(H, k=k, which="SA")),
+             lambda: spla.eigsh(H, k=k, sigma=_gershgorin_lower(H) - 1.0, which="LM",
+                                v0=start)),
+            ("SA", lambda: spla.eigsh(H, k=k, which="SA", v0=start)),
         ]
     dense_path = "dense" if dim <= DENSE_CUTOFF else "dense fallback"
     if dim <= DENSE_MAX_DIM:
@@ -223,17 +227,9 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
 
 # -- truncation -------------------------------------------------------------------
 
-def coherent_photon_number(params: ModelParams) -> float:
-    """Mean photon number of the minimizing coherent state (0 in the normal phase)."""
-    x = abs(params.x)
-    if x <= 1.0:
-        return 0.0
-    return params.n_atoms * params.gamma_c ** 2 * x ** 2 * -math.expm1(-4 * math.log(x))
-
-
 def initial_lambda(params: ModelParams) -> int:
     """Truncation seed: atom count plus the coherent photon bulk plus 10 sigma."""
-    mu = coherent_photon_number(params)
+    mu = photon_number_coherent(params)
     return math.ceil(params.n_atoms + mu + 10.0 * math.sqrt(mu + 1.0))
 
 
@@ -267,15 +263,16 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
     Each solve is seeded by the variational energy and state.  It is
     accepted when TRUNCATION_SAFETY times its truncation estimate is at most
     ``tol`` |E| for every eigenvalue; otherwise lambda_max grows by 2 and the
-    sector is solved again.  Raises ConvergenceError (carrying the best
-    result and its diagnostics) if ``lambda_cap`` is exceeded.
+    sector is solved again.  A seed above ``lambda_cap`` is lowered to it.
+    Raises ConvergenceError (carrying the best result and its diagnostics)
+    if ``lambda_cap`` is exceeded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     guess = variational_energy(params, parity)
-    lam = lambda_start if lambda_start is not None else initial_lambda(params)
+    lam = min(lambda_start if lambda_start is not None else initial_lambda(params), lambda_cap)
     history: list[tuple[int, np.ndarray]] = []
     best = None
     while lam <= lambda_cap:

@@ -27,6 +27,11 @@ HESS_STEP = 1e-4
 DEGENERATE_EIGENVALUE = 1e-6
 
 
+def one_minus_x4(xa: float) -> float:
+    """1 - x^-4 with full relative precision near x = 1 (0 for |x| <= 1)."""
+    return -math.expm1(-4.0 * math.log(xa)) if xa > 1.0 else 0.0
+
+
 @dataclass(frozen=True)
 class PhaseSpacePoint:
     """Field quadratures (q, p) and Bloch angles (theta, phi).
@@ -85,7 +90,7 @@ def critical_points(params: ModelParams) -> list[CriticalPoint]:
         return [normal]
     cos_theta = xa ** -2
     theta_c = math.acos(cos_theta)
-    sin_factor = math.sqrt(-math.expm1(-4.0 * math.log(xa)))  # sqrt(1 - x^-4)
+    sin_factor = math.sqrt(one_minus_x4(xa))
     points = []
     for phi_c in (0.0, math.pi):
         q_c = -2.0 * math.sqrt(params.j) * params.gamma * sin_factor * math.cos(phi_c)
@@ -124,9 +129,9 @@ def lambda_statistics(params: ModelParams, phase: str | None = None) -> tuple[fl
         raise ValueError("superradiant branch undefined for |x| < 1")
     n = params.n_atoms
     gc2 = params.gamma_c ** 2
-    one_minus_x4 = -math.expm1(-4.0 * math.log(xa)) if xa > 1.0 else 0.0
-    mean = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc2 * xa ** 2 * one_minus_x4)
-    fluct = math.sqrt(0.5 * n * (0.5 + 2.0 * gc2 * xa ** 2) * one_minus_x4)
+    omx4 = one_minus_x4(xa)
+    mean = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc2 * xa ** 2 * omx4)
+    fluct = math.sqrt(0.5 * n * (0.5 + 2.0 * gc2 * xa ** 2) * omx4)
     return mean, fluct
 
 
@@ -147,9 +152,8 @@ def f_function(params: ModelParams) -> FValue:
     if xa < 1.0:
         raise ValueError("F is defined on the superradiant branch (|x| >= 1)")
     n = params.n_atoms
-    lx = math.log(xa)
-    one_minus_x4 = -math.expm1(-4.0 * lx)
-    log_f = -2.0 * n * lx - 2.0 * n * params.gamma_c ** 2 * xa ** 2 * one_minus_x4
+    log_f = (-2.0 * n * math.log(xa)
+             - 2.0 * n * params.gamma_c ** 2 * xa ** 2 * one_minus_x4(xa))
     return FValue(log_f)
 
 
@@ -165,9 +169,7 @@ def k_ratio(params: ModelParams) -> float:
         raise ValueError("ratio defined on the superradiant branch (|x| >= 1)")
     if xa == 1.0:
         return 2.0 / (params.n_atoms * (1.0 + 4.0 * params.gamma_c ** 2))
-    one_minus_x4 = -math.expm1(-4.0 * math.log(xa))
-    one_minus_f = -math.expm1(f_function(params).log_f)
-    return one_minus_x4 / one_minus_f
+    return one_minus_x4(xa) / -math.expm1(f_function(params).log_f)
 
 
 def _projection_weights(r_sq: float, cos_theta: float, n_atoms: int) -> tuple[float, float]:
@@ -237,8 +239,7 @@ def sas_energy_at_critical(params: ModelParams, parity: str) -> float:
     log_f = f_function(params).log_f
     f = math.exp(log_f)
     if parity == "even":
-        one_minus_x4 = -math.expm1(-4.0 * math.log(xa)) if xa > 1.0 else 0.0
-        ratio = one_minus_x4 * (-math.expm1(log_f)) / (1.0 + f)
+        ratio = one_minus_x4(xa) * (-math.expm1(log_f)) / (1.0 + f)
     elif parity == "odd":
         ratio = k_ratio(params) * (1.0 + f)
     else:

@@ -126,8 +126,8 @@ class TestLambdaMaxCap:
         assert high["fid_even_N10"] == "" and high["fid_odd_N10"] == ""
 
     def test_exact_observables_keep_good_rows(self, capsys):
-        # gamma = 1 needs lambda_max ~ 473 at N = 200, above the default cap of 400
-        code, out, _ = run_cli(capsys, "observables", "--source", "exact", "--n-atoms", "200",
+        # gamma = 1 does not converge below the default cap of 400 at N = 250
+        code, out, _ = run_cli(capsys, "observables", "--source", "exact", "--n-atoms", "250",
                                "--gamma-min", "0.2", "--gamma-max", "1.0", "--steps", "2",
                                "--parity", "even")
         assert code == 0
@@ -205,11 +205,64 @@ class TestOutput:
         args = ("fidelity", "--n-atoms", "4", "--gamma-min", "0.1",
                 "--gamma-max", "0.9", "--steps", "4", "--parity", "even")
         _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args, "--jobs", "2")
+        _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_determinism_odd_separatrix(self, capsys):
+        # the odd trial state cannot seed the solver at gamma = gamma_c, so
+        # the eigensolver's start vector there must not be drawn at random
+        args = ("observables", "--source", "exact", "--n-atoms", "40", "--gamma-min", "0.4",
+                "--gamma-max", "0.6", "--steps", "3", "--parity", "odd")
+        outs = {run_cli(capsys, *args)[1] for _ in range(3)}
+        assert len(outs) == 1
 
     def test_csv_metadata_header(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--gamma", "0.3", "--n-atoms", "2")
         meta_lines = [l for l in out.split("\n") if l.startswith("# ")]
         keys = {l.split("=")[0].strip("# ") for l in meta_lines}
         assert {"command", "version", "omega_a", "n_atoms"} <= keys
+
+
+# argv -> exit code and the flag column of the output rows (None: no output)
+CLI_CONTRACT = [
+    pytest.param(("observables", "--source", "sas", "--n-atoms", "6", "--gamma-min", "0.3",
+                  "--gamma-max", "1.0", "--steps", "2", "--parity", "even"),
+                 0, ["ValueError", ""], id="observables-sas-normal-phase"),
+    pytest.param(("observables", "--source", "coherent", "--n-atoms", "6", "--gamma", "0.3"),
+                 0, ["ValueError", "ValueError"], id="observables-coherent-normal-phase"),
+    pytest.param(("observables", "--source", "exact", "--n-atoms", "10", "--gamma", "1",
+                  "--lambda-max-cap", "30", "--parity", "even"),
+                 0, ["ConvergenceError"], id="observables-exact-capped"),
+    pytest.param(("distributions", "--kind", "joint", "--parity", "odd", "--n-atoms", "6",
+                  "--gamma", "0.5"),
+                 0, ["ProjectionAnnihilationError"], id="distributions-joint-odd-separatrix"),
+    pytest.param(("distributions", "--kind", "photon", "--parity", "even", "--n-atoms", "6",
+                  "--gamma", "0.3"),
+                 0, ["ValueError"], id="distributions-photon-normal-phase"),
+    pytest.param(("fidelity", "--n-atoms", "6", "--gamma", "0.5", "--parity", "odd"),
+                 0, ["annihilated"], id="fidelity-odd-separatrix"),
+    pytest.param(("fidelity", "--n-atoms", "10", "--gamma", "1", "--lambda-max-cap", "30"),
+                 0, ["ConvergenceError", "ConvergenceError"], id="fidelity-capped"),
+    pytest.param(("verify", "--n-atoms", "6", "--gamma", "0.3"), 1, None,
+                 id="verify-normal-phase"),
+    pytest.param(("spectrum", "--n-atoms", "0", "--gamma", "0.5"), 2, None,
+                 id="spectrum-zero-atoms"),
+    pytest.param(("figures", "--id", "3", "--n-atoms", "0"), 2, None, id="figures-zero-atoms"),
+    pytest.param(("observables", "--source", "sas", "--omega-a", "0", "--gamma", "0.5"),
+                 2, None, id="observables-zero-omega"),
+    pytest.param(("spectrum", "--omega-a", "-1", "--gamma", "0.5"), 2, None,
+                 id="spectrum-negative-omega"),
+    pytest.param(("figures", "--id", "0"), 2, None, id="figures-id-0"),
+    pytest.param(("fidelity", "--n-atoms", "4", "--gamma", "0.3", "--jobs", "2"), 2, None,
+                 id="fidelity-jobs-flag"),
+]
+
+
+@pytest.mark.parametrize("argv,code,flags", CLI_CONTRACT)
+def test_cli_contract(capsys, argv, code, flags):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    if flags is None:
+        assert out == ""
+    else:
+        assert [row["flag"] for row in _table(out)] == flags

@@ -89,12 +89,6 @@ class TestFidelity:
         assert curve.values[0] > 0.9 and math.isnan(curve.values[1])
         assert curve.lambda_maxes[0] <= 30 and math.isnan(curve.lambda_maxes[1])
 
-    def test_curve_jobs_deterministic(self):
-        grid = [0.2, 0.6, 0.9]
-        a = fidelity_curve(1.0, 8, "even", grid, jobs=1)
-        b = fidelity_curve(1.0, 8, "even", grid, jobs=3)
-        assert np.array_equal(a.values, b.values)
-
 
 class TestVariationalVector:
     def test_projected_vacuum_below(self):

@@ -5,10 +5,10 @@ import brute
 from dickelab import solver
 from dickelab.errors import ConvergenceError
 from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
+from dickelab.sas import photon_number_coherent
 from dickelab.solver import (
     RESIDUAL_TOL,
     SHIFT_MARGIN,
-    coherent_photon_number,
     converge_ground,
     initial_lambda,
     lowest_eigenpairs,
@@ -98,7 +98,7 @@ class TestLowestEigenpairs:
 class TestConvergeGround:
     def test_converges_quickly_at_moderate_coupling(self):
         p = ModelParams(1.0, 1.0, 10)
-        assert coherent_photon_number(p) == pytest.approx(9.375)
+        assert photon_number_coherent(p) == pytest.approx(9.375)
         res = converge_ground(p, "even", tol=1e-8)
         assert res.converged
         assert res.lambda_max < 400
@@ -223,6 +223,18 @@ class TestOneVerifiedSolve:
         dense = np.linalg.eigvalsh(op.toarray())[:2]
         assert np.allclose(res.eigenvalues, dense, atol=1e-10)
 
+    @pytest.mark.parametrize("guess", [True, False])
+    def test_same_bits_without_start_vector(self, guess):
+        # the odd trial state cannot seed the separatrix; the start vector
+        # ARPACK then uses must not be drawn at random
+        p = ModelParams.from_ratio(1.0, 1.0, 40)
+        op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), "odd"))
+        assert op.dimension > solver.DENSE_CUTOFF
+        kwargs = {"guess": variational_energy(p, "odd")} if guess else {}
+        first, second = (lowest_eigenpairs(op, 1, **kwargs) for _ in range(2))
+        assert np.array_equal(first.eigenvectors, second.eigenvectors)
+        assert first.eigenvalues[0] == second.eigenvalues[0]
+
     def test_cap_error_carries_record(self):
         p = ModelParams(1.0, 1.0, 20)
         with pytest.raises(ConvergenceError) as err:
@@ -234,8 +246,19 @@ class TestOneVerifiedSolve:
         assert diag["residuals"][0] <= RESIDUAL_TOL
         assert [lam for lam, _ in diag["history"]] == [50, 52]
 
-    def test_seed_above_cap_raises_without_solving(self):
+    def test_seed_above_cap_solves_once_at_the_cap(self):
+        p = ModelParams(1.0, 1.0, 10)
+        assert initial_lambda(p) > 4
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(ModelParams(1.0, 1.0, 10), "even", lambda_cap=4)
-        assert err.value.best is None
-        assert err.value.diagnostics["history"] == []
+            converge_ground(p, "even", lambda_cap=4)
+        assert err.value.best is not None
+        assert [lam for lam, _ in err.value.diagnostics["history"]] == [4]
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_seed_above_default_cap_converges_at_the_cap(self, parity):
+        # N = 200, x = 2: the seed is ~473, but the cap of 400 already suffices
+        p = ModelParams.from_ratio(1.0, 2.0, 200)
+        assert initial_lambda(p) > solver.DEFAULT_LAMBDA_CAP
+        res = converge_ground(p, parity, tol=1e-8)
+        assert res.converged and res.lambda_max <= solver.DEFAULT_LAMBDA_CAP
+        assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
