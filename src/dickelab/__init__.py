@@ -24,15 +24,12 @@ from .errors import (
     TruncationError,
 )
 from .model import (
-    BasisState,
     ModelParams,
     OperatorMatrix,
     SectorBasis,
     build_hamiltonian,
     build_sector_basis,
-    excitation_operator,
     gamma_critical,
-    parity_matrix,
     sector_dimension,
 )
 from .observables import ObservableSet, eigen_observables, joint_distribution_exact

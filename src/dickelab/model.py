@@ -73,23 +73,6 @@ class ModelParams:
         return cls(omega_a, x * gamma_critical(omega_a), n_atoms)
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """One Fock x Dicke product state |nu> x |j, n_e - j>."""
-
-    nu: int
-    n_e: int
-
-    @property
-    def lam(self) -> int:
-        """Excitation number nu + n_e, the eigenvalue of Lambda."""
-        return self.nu + self.n_e
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.lam % 2 == 0 else "odd"
-
-
 class SectorBasis:
     """Ordered basis of a parity sector (or of the full truncated space).
 
@@ -132,12 +115,6 @@ class SectorBasis:
             & (nu + ne <= self.lambda_max)
         out[ok] = self._pos[nu[ok], ne[ok]]
         return out
-
-    def state(self, i: int) -> BasisState:
-        return BasisState(int(self.nu[i]), int(self.ne[i]))
-
-    def states(self) -> list[BasisState]:
-        return [self.state(i) for i in range(self.size)]
 
 
 def build_sector_basis(params: ModelParams, lambda_max: int,
@@ -265,13 +242,3 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
         shape=(n, n),
     ).tocsr()
     return OperatorMatrix(H, basis)
-
-
-def excitation_operator(basis: SectorBasis) -> OperatorMatrix:
-    """Diagonal excitation-number operator, entry lambda = nu + n_e."""
-    return OperatorMatrix(sp.diags(basis.lam.astype(float)).tocsr(), basis)
-
-
-def parity_matrix(basis: SectorBasis) -> OperatorMatrix:
-    """Diagonal parity operator with entries (-1)**lambda."""
-    return OperatorMatrix(sp.diags((-1.0) ** basis.lam).tocsr(), basis)

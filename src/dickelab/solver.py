@@ -1,16 +1,18 @@
 """Lowest eigenpairs per parity sector, one verified solve per sweep point.
 
 Sectors of up to DENSE_CUTOFF states use dense LAPACK.  Larger sectors use
-shift-invert ARPACK at a shift SHIFT_MARGIN below the closed-form variational
-energy, started from the variational state.  The shift is accepted only when
-the symmetric LDL^T factorization of H - sigma I pivots on the diagonal and
-has no negative pivot: by Sylvester's law of inertia every eigenvalue then
-lies above the shift, so the eigenvalues nearest it are the lowest.  Any
-other outcome falls back to a Gershgorin shift, then to a smallest-algebraic
-solve and, up to DENSE_MAX_DIM states, to a dense solve.  Every result is
-residual-checked against ||H v - E v|| <= 1e-8.
+shift-invert ARPACK at a shift (1 + omega_a)/2 below the closed-form
+variational energy, started from the variational state.  The shift is
+accepted only when the symmetric LDL^T factorization of H - sigma I pivots on
+the diagonal and has no negative pivot: by Sylvester's law of inertia every
+eigenvalue then lies above the shift, so the eigenvalues nearest it are the
+lowest.  ARPACK stops as soon as its residual bound meets the residual
+contract ||H v - E v|| <= 1e-8.  Any other outcome falls back to a Gershgorin
+shift, then to a smallest-algebraic solve and, up to DENSE_MAX_DIM states, to
+a dense solve.  Every result is residual-checked against that contract.
 
-converge_ground accepts a truncation from that one solve when the energy the
+converge_ground seeds the truncation from the closed-form mean and width of
+the excitation number and accepts it from that one solve when the energy the
 top excitation shell leaks into the next one, to second order, is far below
 the tolerance.
 """
@@ -26,8 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import ModelParams, OperatorMatrix, SectorBasis, build_hamiltonian, build_sector_basis
-from .sas import photon_number_coherent, sas_coefficients_at
-from .surface import normal_odd_state, sas_energy_at_critical
+from .sas import sas_coefficients_at
+from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 
 # dense eigh and the verified sparse solve both take ~1.8 ms near 200 states
 # (single-threaded BLAS); below, dense is faster, above, sparse
@@ -36,9 +38,6 @@ DENSE_CUTOFF = 200
 DENSE_MAX_DIM = 6000
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
-# distance of the shift below the variational energy, in field units; the
-# largest variational excess E_var - E0 measured is 0.48 (N=30, x=0.98, odd)
-SHIFT_MARGIN = 1.0
 # the truncation estimate times this must stay below tol |E|
 TRUNCATION_SAFETY = 10.0
 
@@ -54,7 +53,7 @@ class SpectralResult:
     "variational shift-invert", "gershgorin shift-invert", "SA" or
     "dense fallback") and ``attempts`` why each earlier one was rejected.
     ``truncation_estimate`` is the second-order energy leak per eigenvalue
-    (set by converge_ground).
+    and ``seed`` the truncation_seed record (both set by converge_ground).
     """
 
     parity: str | None
@@ -68,12 +67,13 @@ class SpectralResult:
     attempts: list = field(default_factory=list)
     residuals: np.ndarray | None = None
     truncation_estimate: np.ndarray | None = None
+    seed: dict = field(default_factory=dict)
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
         return {"dim": self.basis.size, "path": self.path, "attempts": list(self.attempts),
                 "residuals": self.residuals, "truncation_estimate": self.truncation_estimate,
-                "history": self.history}
+                "history": self.history, **self.seed}
 
 
 # -- closed-form trial states --------------------------------------------------
@@ -123,6 +123,19 @@ def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
     return vec
 
 
+def shift_margin(params: ModelParams) -> float:
+    """Distance of the first shift below the variational energy: (1 + omega_a)/2.
+
+    That is the zero-point energy of the uncoupled field and atom modes, the
+    bound on the Holstein-Primakoff correction to the mean-field energy,
+    (eps+ + eps- - 1 - omega_a)/2 >= -(1 + omega_a)/2.  The largest variational
+    excess E_var - E0 measured on the truncation_seed calibration grid is 0.62
+    of it (omega_a = 1, N = 140, x = 1, odd); at omega_a = 9 it is 1.24 = 0.25
+    of it.
+    """
+    return 0.5 * (1.0 + params.omega_a)
+
+
 # -- eigensolvers -----------------------------------------------------------------
 
 class _ShiftRejected(RuntimeError):
@@ -146,10 +159,10 @@ def _gershgorin_lower(H) -> float:
 def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
+    shifted = (H - sigma * sp.identity(n, format="csr")).tocsc()
     # relax=panel_size=1: at ~40 factor entries per row supernodes do not
     # pay; factor plus solves ran ~25% faster on sectors of 1.7k-14k states
-    lu = spla.splu((H - sigma * sp.identity(n, format="csr")).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    relax=1, panel_size=1, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise _ShiftRejected("factorization pivoted off the diagonal")
@@ -158,8 +171,12 @@ def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
         raise _ShiftRejected(f"{below} eigenvalue{'s' if below > 1 else ''} "
                              f"below shift {sigma:.6g}")
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
+    # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
+    # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
+    # this tol meets RESIDUAL_TOL without iterating on to machine precision
+    tol = RESIDUAL_TOL / spla.norm(shifted, 1)
     return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=start,
-                      ncv=min(n, 2 * k + 4))
+                      ncv=min(n, 2 * k + 4), tol=tol)
 
 
 def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
@@ -167,8 +184,8 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
     """k lowest eigenpairs of a symmetric operator, residual-checked.
 
     ``guess`` is an upper bound on the lowest eigenvalue, normally the
-    variational energy; above DENSE_CUTOFF states it puts the first shift at
-    guess - SHIFT_MARGIN.  Every ARPACK run starts from ``start`` when given,
+    variational energy; above DENSE_CUTOFF states it puts the first shift
+    shift_margin below it.  Every ARPACK run starts from ``start`` when given,
     else from a fixed-seed vector, so equal inputs give equal bits.  Each
     solver's failure or rejection is recorded and the next one is tried;
     ConvergenceError is raised when none meets the residual tolerance.
@@ -182,8 +199,9 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
         if start is None:
             start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
         if guess is not None:
+            sigma = guess - shift_margin(op.basis.params)
             solvers.append(("variational shift-invert",
-                            lambda: _verified_shift_invert(H, k, guess - SHIFT_MARGIN, start)))
+                            lambda: _verified_shift_invert(H, k, sigma, start)))
         solvers += [
             ("gershgorin shift-invert",
              lambda: spla.eigsh(H, k=k, sigma=_gershgorin_lower(H) - 1.0, which="LM",
@@ -227,10 +245,27 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
 
 # -- truncation -------------------------------------------------------------------
 
+def truncation_seed(params: ModelParams) -> dict:
+    """The first lambda_max and the excitation statistics it is drawn from.
+
+    lambda_seed = <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6, with (<Lambda>,
+    dLambda) the closed-form lambda_statistics (zero in the normal phase) and
+    dc = 1.25 omega_a^(1/6) N^(1/3) the width of the critical fluctuations,
+    which the mean-field width misses near the separatrix.  Calibrated on
+    omega_a in {0.25, 1, 4, 9}, N 10-140 and x 0.3-2.5 (1368 sector ground
+    states below the default cap): every one is accepted at the seed with
+    tol = 1e-8, at least one shell of its parity above the smallest lambda_max
+    that passes.
+    """
+    mean, width = lambda_statistics(params)
+    critical = 1.25 * params.omega_a ** (1.0 / 6.0) * params.n_atoms ** (1.0 / 3.0)
+    seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
+    return {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width}
+
+
 def initial_lambda(params: ModelParams) -> int:
-    """Truncation seed: atom count plus the coherent photon bulk plus 10 sigma."""
-    mu = photon_number_coherent(params)
-    return math.ceil(params.n_atoms + mu + 10.0 * math.sqrt(mu + 1.0))
+    """Truncation seed from the closed-form excitation statistics."""
+    return truncation_seed(params)["lambda_seed"]
 
 
 def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
@@ -272,7 +307,8 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     guess = variational_energy(params, parity)
-    lam = min(lambda_start if lambda_start is not None else initial_lambda(params), lambda_cap)
+    seed = truncation_seed(params)
+    lam = min(lambda_start if lambda_start is not None else seed["lambda_seed"], lambda_cap)
     history: list[tuple[int, np.ndarray]] = []
     best = None
     while lam <= lambda_cap:
@@ -282,7 +318,13 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                 start = variational_vector(params, parity, basis)
             except (ValueError, ProjectionAnnihilationError):
                 start = None
-            res = lowest_eigenpairs(build_hamiltonian(params, basis), k, guess=guess, start=start)
+            try:
+                res = lowest_eigenpairs(build_hamiltonian(params, basis), k, guess=guess,
+                                        start=start)
+            except ConvergenceError as exc:
+                exc.diagnostics.update(seed, history=history)
+                raise
+            res.seed = seed
             res.truncation_estimate = truncation_estimate(params, basis, res.eigenvalues,
                                                           res.eigenvectors)
             history.append((lam, res.eigenvalues.copy()))
@@ -293,7 +335,7 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                 return res
             best = res
         lam += 2
-    diagnostics = best.diagnostics() if best is not None else {"history": history}
+    diagnostics = best.diagnostics() if best is not None else {"history": history, **seed}
     raise ConvergenceError(
         f"ground state not converged below lambda_max cap {lambda_cap}",
         best=best,

@@ -5,6 +5,7 @@ matrices so it shares no code path with the package implementation.
 """
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,6 +24,46 @@ def enumerate_states(n_atoms, lambda_max, parity=None):
             continue
         out.append((nu, ne))
     return out
+
+
+@dataclass(frozen=True)
+class BasisState:
+    """One Fock x Dicke product state |nu> x |j, n_e - j>."""
+
+    nu: int
+    n_e: int
+
+    @property
+    def lam(self):
+        """Excitation number nu + n_e, the eigenvalue of Lambda."""
+        return self.nu + self.n_e
+
+    @property
+    def parity(self):
+        return "even" if self.lam % 2 == 0 else "odd"
+
+
+def basis_state(basis, i):
+    """The i-th state of a package SectorBasis, read from its raw arrays."""
+    return BasisState(int(basis.nu[i]), int(basis.ne[i]))
+
+
+def excitation_operator(basis):
+    """Dense diagonal excitation-number operator on a SectorBasis."""
+    dim = len(basis.nu)
+    L = np.zeros((dim, dim))
+    for i in range(dim):
+        L[i, i] = basis_state(basis, i).lam
+    return L
+
+
+def parity_matrix(basis):
+    """Dense diagonal parity operator (-1)**lambda on a SectorBasis."""
+    dim = len(basis.nu)
+    P = np.zeros((dim, dim))
+    for i in range(dim):
+        P[i, i] = 1.0 if basis_state(basis, i).parity == "even" else -1.0
+    return P
 
 
 def dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import brute
 from dickelab import solver
@@ -8,13 +9,14 @@ from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
 from dickelab.sas import photon_number_coherent
 from dickelab.solver import (
     RESIDUAL_TOL,
-    SHIFT_MARGIN,
     converge_ground,
     initial_lambda,
     lowest_eigenpairs,
+    shift_margin,
     variational_energy,
     variational_vector,
 )
+from dickelab.surface import lambda_statistics
 
 
 def _solve(params, lam_max, parity, k):
@@ -141,8 +143,15 @@ class TestConvergeGround:
 
     def test_initial_lambda_seed(self):
         p = ModelParams(1.0, 1.0, 10)
-        # N + mu + 10 sqrt(mu+1) with mu = 9.375
-        assert initial_lambda(p) == int(np.ceil(10 + 9.375 + 10 * np.sqrt(10.375)))
+        # <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6 with <Lambda> = 13.125,
+        # dLambda^2 = 11.71875 and dc = 1.25 * 10^(1/3) at N = 10, x = 2
+        assert lambda_statistics(p) == pytest.approx((13.125, np.sqrt(11.71875)))
+        critical = 1.25 * 10 ** (1 / 3)
+        assert initial_lambda(p) == int(np.ceil(13.125 + 6 * np.sqrt(11.71875 + critical ** 2)
+                                                + 6))
+        assert solver.truncation_seed(p) == {"lambda_seed": initial_lambda(p),
+                                             "lambda_mean": 13.125,
+                                             "lambda_width": pytest.approx(np.sqrt(11.71875))}
 
     def test_even_odd_near_degenerate_above_transition(self):
         p = ModelParams(1.0, 1.0, 20)
@@ -173,7 +182,7 @@ class TestOneVerifiedSolve:
         p = ModelParams.from_ratio(1.0, 0.98, 30)
         res = converge_ground(p, "odd", tol=1e-8)
         assert res.path == "variational shift-invert"
-        assert 0.0 < variational_energy(p, "odd") - res.eigenvalues[0] < SHIFT_MARGIN
+        assert 0.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
 
     def test_guess_above_first_excited_rejected(self):
         p = ModelParams.from_ratio(1.0, 1.5, 20)
@@ -181,11 +190,11 @@ class TestOneVerifiedSolve:
         op = build_hamiltonian(p, basis)
         assert op.dimension > solver.DENSE_CUTOFF
         e0, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
-        guess = 0.5 * (e1 + e2) + SHIFT_MARGIN  # puts the shift between E1 and E2
+        guess = 0.5 * (e1 + e2) + shift_margin(p)  # puts the shift between E1 and E2
         res = lowest_eigenpairs(op, 1, guess=guess,
                                 start=variational_vector(p, "even", basis))
         assert res.attempts == [
-            f"variational shift-invert: 2 eigenvalues below shift {guess - SHIFT_MARGIN:.6g}"]
+            f"variational shift-invert: 2 eigenvalues below shift {guess - shift_margin(p):.6g}"]
         assert res.path == "gershgorin shift-invert"
         assert res.eigenvalues[0] == pytest.approx(e0, abs=1e-9)
 
@@ -256,9 +265,72 @@ class TestOneVerifiedSolve:
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_seed_above_default_cap_converges_at_the_cap(self, parity):
-        # N = 200, x = 2: the seed is ~473, but the cap of 400 already suffices
-        p = ModelParams.from_ratio(1.0, 2.0, 200)
+        # N = 220, x = 2: the seed is 402, but the cap of 400 already suffices
+        p = ModelParams.from_ratio(1.0, 2.0, 220)
         assert initial_lambda(p) > solver.DEFAULT_LAMBDA_CAP
         res = converge_ground(p, parity, tol=1e-8)
         assert res.converged and res.lambda_max <= solver.DEFAULT_LAMBDA_CAP
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
+
+    def test_diagnostics_carry_the_seed(self, monkeypatch):
+        p = ModelParams(1.0, 1.0, 10)
+        seed = solver.truncation_seed(p)
+        diag = converge_ground(p, "even").diagnostics()
+        assert {key: diag[key] for key in seed} == seed
+        # from the cap ...
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, "even", lambda_cap=4)
+        assert {key: err.value.diagnostics[key] for key in seed} == seed
+        # ... and from a sector no eigensolver meets the residual tolerance in
+        monkeypatch.setattr(solver.spla, "eigsh",
+                            lambda H, k, **kwargs: (np.zeros(k), np.eye(H.shape[0], k)))
+        monkeypatch.setattr(solver, "DENSE_MAX_DIM", solver.DENSE_CUTOFF)
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, "even")
+        assert {key: err.value.diagnostics[key] for key in seed} == seed
+        assert err.value.diagnostics["dim"] > solver.DENSE_CUTOFF
+
+
+class TestClosedFormSizing:
+    # the truncation_seed calibration grid, thinned: every omega_a, an odd and
+    # an even N, the normal phase, both sides of the separatrix and the
+    # superradiant phase.  omega_a = 9, N = 15, x = 0.98, odd needs
+    # lambda_max = 27, above the former normal-phase seed N + 10.
+    @pytest.mark.parametrize("omega_a", [0.25, 1.0, 4.0, 9.0])
+    @pytest.mark.parametrize("n_atoms", [15, 40])
+    @pytest.mark.parametrize("x", [0.6, 0.98, 1.0, 1.05, 1.7])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_calibration_grid_accepted_at_the_seed(self, omega_a, n_atoms, x, parity):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        res = converge_ground(p, parity, tol=1e-8)
+        assert [lam for lam, _ in res.history] == [initial_lambda(p)]
+        _assert_settled(res, p, parity, 1, 1e-8)
+        assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
+
+    # variational excess 1.0-1.2: above a fixed margin of one field quantum,
+    # below (1 + omega_a)/2
+    @pytest.mark.parametrize("omega_a,n_atoms", [(9.0, 20), (9.0, 60), (4.0, 60)])
+    def test_large_omega_separatrix_on_the_variational_shift(self, omega_a, n_atoms):
+        p = ModelParams.from_ratio(omega_a, 1.0, n_atoms)
+        res = converge_ground(p, "odd", tol=1e-8)
+        assert res.path == "variational shift-invert"
+        assert res.attempts == []
+        assert 1.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
+
+    def test_arpack_stop_matched_to_the_residual_contract(self, monkeypatch):
+        p = ModelParams.from_ratio(1.0, 2.0, 60)
+        tols = []
+        eigsh = solver.spla.eigsh
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs.get("tol", 0.0))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "eigsh", recording)
+        res = converge_ground(p, "even", tol=1e-8)
+        assert res.path == "variational shift-invert"
+        H = build_hamiltonian(p, res.basis).matrix
+        sigma = variational_energy(p, "even") - shift_margin(p)
+        norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
+        assert tols == [pytest.approx(RESIDUAL_TOL / norm1)]
+        assert res.residuals[0] <= RESIDUAL_TOL
