@@ -36,7 +36,7 @@ class Dataset:
         payload = {
             "meta": self.meta,
             "columns": self.columns,
-            "rows": [list(row) for row in self.rows],
+            "rows": self.rows,
         }
         return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
 

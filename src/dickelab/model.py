@@ -97,9 +97,6 @@ class SectorBasis:
     def size(self) -> int:
         return self.nu.size
 
-    def __len__(self) -> int:
-        return self.size
-
     def index_of(self, nu: int, n_e: int) -> int:
         """Position of (nu, n_e) in the ordering, or -1 if absent."""
         if not (0 <= nu <= self.lambda_max and 0 <= n_e <= self.params.n_atoms):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import SectorBasis
+from .model import SectorBasis, _spin_minus_amp, _spin_plus_amp
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class ObservableSet:
     jz_n_photons: float
     jx_q: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @staticmethod
     def names() -> list[str]:
         return [f.name for f in fields(ObservableSet)]
@@ -61,14 +58,14 @@ def apply_adag(g: np.ndarray) -> np.ndarray:
 def apply_jplus(g: np.ndarray, n_atoms: int) -> np.ndarray:
     out = np.zeros_like(g)
     ne = np.arange(n_atoms, dtype=float)[None, :]
-    out[:, 1:] = np.sqrt((n_atoms - ne) * (ne + 1.0)) * g[:, :-1]
+    out[:, 1:] = _spin_plus_amp(ne, n_atoms) * g[:, :-1]
     return out
 
 
 def apply_jminus(g: np.ndarray, n_atoms: int) -> np.ndarray:
     out = np.zeros_like(g)
     ne = np.arange(1.0, n_atoms + 1)[None, :]
-    out[:, :-1] = np.sqrt(ne * (n_atoms - ne + 1.0)) * g[:, 1:]
+    out[:, :-1] = _spin_minus_amp(ne, n_atoms) * g[:, 1:]
     return out
 
 

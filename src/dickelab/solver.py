@@ -1,15 +1,15 @@
 """Lowest eigenpairs per parity sector, one verified solve per sweep point.
 
 Sectors of up to DENSE_CUTOFF states use dense LAPACK.  Larger sectors use
-shift-invert ARPACK at a shift (1 + omega_a)/2 below the closed-form
-variational energy, started from the variational state.  The shift is
-accepted only when the symmetric LDL^T factorization of H - sigma I pivots on
-the diagonal and has no negative pivot: by Sylvester's law of inertia every
-eigenvalue then lies above the shift, so the eigenvalues nearest it are the
-lowest.  ARPACK stops as soon as its residual bound meets the residual
-contract ||H v - E v|| <= 1e-8.  Any other outcome falls back to a Gershgorin
-shift, then to a smallest-algebraic solve and, up to DENSE_MAX_DIM states, to
-a dense solve.  Every result is residual-checked against that contract.
+one algorithm, shift-invert ARPACK at a shift the sector supplies: (1 +
+omega_a)/2 below its closed-form variational energy, started from the
+variational state, and on rejection the Gershgorin bound.  A shift is
+accepted only when the symmetric LDL^T factorization of H - sigma I pivots
+on the diagonal and has no negative pivot: by Sylvester's law of inertia
+every eigenvalue then lies above it.  ARPACK stops as soon as its residual
+bound meets the contract ||H v - E v|| <= 1e-8; every result is
+residual-checked against it, with dense LAPACK up to DENSE_MAX_DIM states
+as the last resort.
 
 converge_ground seeds the truncation from the closed-form mean and width of
 the excitation number and accepts it from that one solve when the energy the
@@ -27,7 +27,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
-from .model import ModelParams, OperatorMatrix, SectorBasis, build_hamiltonian, build_sector_basis
+from .model import (ModelParams, OperatorMatrix, SectorBasis, _spin_plus_amp, build_hamiltonian,
+                    build_sector_basis)
 from .sas import sas_coefficients_at
 from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 
@@ -38,6 +39,7 @@ DENSE_CUTOFF = 200
 DENSE_MAX_DIM = 6000
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
+SEED_TOL = 1e-8  # the tolerance truncation_seed is calibrated at
 # the truncation estimate times this must stay below tol |E|
 TRUNCATION_SAFETY = 10.0
 
@@ -50,8 +52,8 @@ class SpectralResult:
     SectorBasis ordering with the largest-magnitude coefficient positive.
     ``history`` records (lambda_max, eigenvalues) per truncation step.
     ``path`` names the solver that produced the result ("dense",
-    "variational shift-invert", "gershgorin shift-invert", "SA" or
-    "dense fallback") and ``attempts`` why each earlier one was rejected.
+    "variational shift-invert", "gershgorin shift-invert" or "dense
+    fallback") and ``attempts`` why each earlier one was rejected.
     ``truncation_estimate`` is the second-order energy leak per eigenvalue
     and ``seed`` the truncation_seed record (both set by converge_ground).
     """
@@ -179,16 +181,26 @@ def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
                       ncv=min(n, 2 * k + 4), tol=tol)
 
 
-def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
-                      start: np.ndarray | None = None) -> SpectralResult:
-    """k lowest eigenpairs of a symmetric operator, residual-checked.
+def _start_vector(basis: SectorBasis) -> np.ndarray:
+    """The variational state of a parity sector, else a fixed-seed vector,
+    so that equal inputs give equal bits."""
+    if basis.parity is not None:
+        try:
+            return variational_vector(basis.params, basis.parity, basis)
+        except (ValueError, ProjectionAnnihilationError):  # degenerate, annihilated
+            pass
+    return np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
 
-    ``guess`` is an upper bound on the lowest eigenvalue, normally the
-    variational energy; above DENSE_CUTOFF states it puts the first shift
-    shift_margin below it.  Every ARPACK run starts from ``start`` when given,
-    else from a fixed-seed vector, so equal inputs give equal bits.  Each
-    solver's failure or rejection is recorded and the next one is tried;
-    ConvergenceError is raised when none meets the residual tolerance.
+
+def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
+    """k lowest eigenpairs of a symmetric operator on a sector, residual-checked.
+
+    Above DENSE_CUTOFF states _verified_shift_invert runs from _start_vector
+    at shift_margin below the sector's variational energy (parity sectors
+    only), then at the Gershgorin bound; dense LAPACK is the last resort up
+    to DENSE_MAX_DIM states.  Each failure or rejection is recorded and the
+    next solver tried; ConvergenceError is raised when none meets the
+    residual tolerance.
     """
     dim = op.dimension
     if not 1 <= k <= dim:
@@ -196,18 +208,14 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
     H = op.matrix
     solvers = []
     if dim > DENSE_CUTOFF and k < dim - 1:
-        if start is None:
-            start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-        if guess is not None:
-            sigma = guess - shift_margin(op.basis.params)
+        params, parity = op.basis.params, op.basis.parity
+        start = _start_vector(op.basis)
+        if parity is not None:
+            sigma = variational_energy(params, parity) - shift_margin(params)
             solvers.append(("variational shift-invert",
                             lambda: _verified_shift_invert(H, k, sigma, start)))
-        solvers += [
-            ("gershgorin shift-invert",
-             lambda: spla.eigsh(H, k=k, sigma=_gershgorin_lower(H) - 1.0, which="LM",
-                                v0=start)),
-            ("SA", lambda: spla.eigsh(H, k=k, which="SA", v0=start)),
-        ]
+        solvers.append(("gershgorin shift-invert",
+                        lambda: _verified_shift_invert(H, k, _gershgorin_lower(H) - 1.0, start)))
     dense_path = "dense" if dim <= DENSE_CUTOFF else "dense fallback"
     if dim <= DENSE_MAX_DIM:
         solvers.append((dense_path, lambda: la.eigh(H.toarray(), subset_by_index=(0, k - 1))))
@@ -245,27 +253,30 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int, guess: float | None = None,
 
 # -- truncation -------------------------------------------------------------------
 
-def truncation_seed(params: ModelParams) -> dict:
+def truncation_seed(params: ModelParams, tol: float = SEED_TOL) -> dict:
     """The first lambda_max and the excitation statistics it is drawn from.
 
-    lambda_seed = <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6, with (<Lambda>,
+    lambda_seed = <Lambda> + s (6 sqrt(dLambda^2 + dc^2) + 6), with (<Lambda>,
     dLambda) the closed-form lambda_statistics (zero in the normal phase) and
     dc = 1.25 omega_a^(1/6) N^(1/3) the width of the critical fluctuations,
     which the mean-field width misses near the separatrix.  Calibrated on
     omega_a in {0.25, 1, 4, 9}, N 10-140 and x 0.3-2.5 (1368 sector ground
     states below the default cap): every one is accepted at the seed with
-    tol = 1e-8, at least one shell of its parity above the smallest lambda_max
-    that passes.
+    tol = SEED_TOL, at least one shell of its parity above the smallest
+    lambda_max that passes.  s = sqrt(ln tol / ln SEED_TOL), 1 at SEED_TOL
+    and 0 for tol >= 1, widens it as a Gaussian tail would; at N 15-100 it
+    keeps one solve per sector down to tol = 1e-12.
     """
     mean, width = lambda_statistics(params)
     critical = 1.25 * params.omega_a ** (1.0 / 6.0) * params.n_atoms ** (1.0 / 3.0)
-    seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
+    s = math.sqrt(max(0.0, math.log(tol) / math.log(SEED_TOL)))
+    seed = math.ceil(mean + 6.0 * s * math.hypot(width, critical) + 6.0 * s)
     return {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width}
 
 
-def initial_lambda(params: ModelParams) -> int:
+def initial_lambda(params: ModelParams, tol: float = SEED_TOL) -> int:
     """Truncation seed from the closed-form excitation statistics."""
-    return truncation_seed(params)["lambda_seed"]
+    return truncation_seed(params, tol)["lambda_seed"]
 
 
 def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
@@ -282,7 +293,7 @@ def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np
     top = basis.lam == basis.lam.max()
     nu, ne = basis.nu[top], basis.ne[top]
     g = params.gamma / math.sqrt(params.n_atoms)
-    amp = g * np.sqrt(nu + 1.0) * np.sqrt((params.n_atoms - ne) * (ne + 1.0))
+    amp = g * np.sqrt(nu + 1.0) * _spin_plus_amp(ne, params.n_atoms)
     gap = (nu + 1.0 + params.omega_a * (ne + 1.0 - params.j))[:, None] - eigenvalues[None, :]
     leak = (amp[:, None] * eigenvectors[top, :]) ** 2
     if np.any(gap <= 0.0):
@@ -291,36 +302,29 @@ def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np
 
 
 def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
-                    k: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP,
-                    lambda_start: int | None = None) -> SpectralResult:
+                    k: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
     """The k lowest eigenpairs of a sector, converged in truncation by one solve.
 
-    Each solve is seeded by the variational energy and state.  It is
-    accepted when TRUNCATION_SAFETY times its truncation estimate is at most
-    ``tol`` |E| for every eigenvalue; otherwise lambda_max grows by 2 and the
-    sector is solved again.  A seed above ``lambda_cap`` is lowered to it.
-    Raises ConvergenceError (carrying the best result and its diagnostics)
-    if ``lambda_cap`` is exceeded.
+    The first lambda_max is truncation_seed at ``tol``, lowered to
+    ``lambda_cap`` when above it.  A solve is accepted when TRUNCATION_SAFETY
+    times its truncation estimate is at most ``tol`` |E| for every
+    eigenvalue; otherwise lambda_max grows by 2 and the sector is solved
+    again.  Raises ConvergenceError (carrying the best result and its
+    diagnostics) if ``lambda_cap`` is exceeded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    guess = variational_energy(params, parity)
-    seed = truncation_seed(params)
-    lam = min(lambda_start if lambda_start is not None else seed["lambda_seed"], lambda_cap)
+    seed = truncation_seed(params, tol)
+    lam = min(seed["lambda_seed"], lambda_cap)
     history: list[tuple[int, np.ndarray]] = []
     best = None
     while lam <= lambda_cap:
         basis = build_sector_basis(params, lam, parity)
         if basis.size >= k:  # the sector must hold at least k states
             try:
-                start = variational_vector(params, parity, basis)
-            except (ValueError, ProjectionAnnihilationError):
-                start = None
-            try:
-                res = lowest_eigenpairs(build_hamiltonian(params, basis), k, guess=guess,
-                                        start=start)
+                res = lowest_eigenpairs(build_hamiltonian(params, basis), k)
             except ConvergenceError as exc:
                 exc.diagnostics.update(seed, history=history)
                 raise

@@ -246,3 +246,9 @@ class TestDataset:
         assert back.rows[1][0] == math.pi
         assert back.rows[2][0] is None
         assert back.meta == ds.meta
+
+    def test_json_tuple_rows_render_as_list_rows(self):
+        rows = [(0.1 + 0.2, "even", None), (math.pi, "odd", 3)]
+        text = Dataset({"m": 2}, ["x", "parity", "k"], rows).to_json()
+        assert text == Dataset({"m": 2}, ["x", "parity", "k"], [list(r) for r in rows]).to_json()
+        assert Dataset.from_json(text).rows == rows

@@ -24,6 +24,32 @@ def _solve(params, lam_max, parity, k):
     return lowest_eigenpairs(build_hamiltonian(params, basis), k)
 
 
+def _seed_at(monkeypatch, lam):
+    """Make converge_ground start its truncation at lambda_max = lam."""
+    seed = solver.truncation_seed
+    monkeypatch.setattr(solver, "truncation_seed",
+                        lambda params, tol: {**seed(params, tol), "lambda_seed": lam})
+
+
+def _shift_at(monkeypatch, sigma):
+    """Put the first shift of lowest_eigenpairs at sigma."""
+    monkeypatch.setattr(solver, "variational_energy",
+                        lambda params, parity: sigma + shift_margin(params))
+
+
+def _record_eigsh(monkeypatch):
+    """The keyword arguments of every eigsh call the solver makes from now on."""
+    calls = []
+    eigsh = solver.spla.eigsh
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "eigsh", recording)
+    return calls
+
+
 def _assert_settled(res, params, parity, k, tol):
     """The accepted eigenvalues agree with a solve 40 shells larger within tol |E|."""
     wide = _solve(params, res.lambda_max + 40, parity, k).eigenvalues
@@ -112,7 +138,7 @@ class TestConvergeGround:
         p = ModelParams(1.0, 0.0, 6)
         res = converge_ground(p, "even", tol=1e-12)
         assert res.converged
-        assert [lam for lam, _ in res.history] == [initial_lambda(p)]  # nothing leaks
+        assert [lam for lam, _ in res.history] == [initial_lambda(p, 1e-12)]  # nothing leaks
         _assert_settled(res, p, "even", 1, 1e-12)
         assert res.eigenvalues[0] == pytest.approx(-3.0, abs=1e-14)
 
@@ -120,10 +146,11 @@ class TestConvergeGround:
         with pytest.raises(ValueError, match="unreachable"):
             converge_ground(ModelParams(1.0, 0.5, 4), "even", tol=0.0)
 
-    def test_cap_exceeded_carries_best(self):
+    def test_cap_exceeded_carries_best(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
+        _seed_at(monkeypatch, 10)
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", tol=1e-8, lambda_start=10, lambda_cap=16)
+            converge_ground(p, "even", tol=1e-8, lambda_cap=16)
         assert err.value.best is not None
         assert err.value.best.eigenvalues.shape == (1,)
         assert len(err.value.diagnostics["history"]) == 4
@@ -152,6 +179,17 @@ class TestConvergeGround:
         assert solver.truncation_seed(p) == {"lambda_seed": initial_lambda(p),
                                              "lambda_mean": 13.125,
                                              "lambda_width": pytest.approx(np.sqrt(11.71875))}
+
+    def test_seed_scales_with_the_tolerance(self):
+        # at tol = 1e-12 the default-tolerance seed took 4 solves (lambda 107-113)
+        p = ModelParams.from_ratio(1.0, 2.0, 40)
+        res = converge_ground(p, "even", tol=1e-12)
+        assert [lam for lam, _ in res.history] == [initial_lambda(p, 1e-12)]
+        assert initial_lambda(p, 1e-12) > initial_lambda(p)
+        _assert_settled(res, p, "even", 1, 1e-12)
+        # the widening is floored at zero: tol >= 1 seeds at the mean
+        mean, _ = lambda_statistics(p)
+        assert initial_lambda(p, 1.0) == initial_lambda(p, 10.0) == np.ceil(mean)
 
     def test_even_odd_near_degenerate_above_transition(self):
         p = ModelParams(1.0, 1.0, 20)
@@ -184,19 +222,39 @@ class TestOneVerifiedSolve:
         assert res.path == "variational shift-invert"
         assert 0.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
 
-    def test_guess_above_first_excited_rejected(self):
+    def test_guess_above_first_excited_rejected(self, monkeypatch):
         p = ModelParams.from_ratio(1.0, 1.5, 20)
         basis = build_sector_basis(p, initial_lambda(p), "even")
         op = build_hamiltonian(p, basis)
         assert op.dimension > solver.DENSE_CUTOFF
         e0, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
-        guess = 0.5 * (e1 + e2) + shift_margin(p)  # puts the shift between E1 and E2
-        res = lowest_eigenpairs(op, 1, guess=guess,
-                                start=variational_vector(p, "even", basis))
-        assert res.attempts == [
-            f"variational shift-invert: 2 eigenvalues below shift {guess - shift_margin(p):.6g}"]
+        sigma = 0.5 * (e1 + e2)
+        _shift_at(monkeypatch, sigma)
+        res = lowest_eigenpairs(op, 1)
+        assert res.attempts == [f"variational shift-invert: 2 eigenvalues below shift {sigma:.6g}"]
         assert res.path == "gershgorin shift-invert"
         assert res.eigenvalues[0] == pytest.approx(e0, abs=1e-9)
+
+    def test_rejected_shift_retried_through_the_verified_routine(self, monkeypatch):
+        # the Gershgorin retry carries the same inertia proof and ARPACK stop
+        p = ModelParams.from_ratio(1.0, 2.0, 30)
+        op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), "even"))
+        H = op.matrix
+        calls = _record_eigsh(monkeypatch)
+        _shift_at(monkeypatch, 0.0)  # far above the ground energy
+        res = lowest_eigenpairs(op, 1)
+        assert [a.split(":")[0] for a in res.attempts] == ["variational shift-invert"]
+        assert "below shift" in res.attempts[0]
+        assert res.path == "gershgorin shift-invert"
+        sigma = solver._gershgorin_lower(H) - 1.0
+        norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
+        assert len(calls) == 1
+        assert calls[0]["sigma"] == sigma
+        assert isinstance(calls[0]["OPinv"], solver.spla.LinearOperator)
+        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1)
+        assert res.residuals[0] <= RESIDUAL_TOL
+        dense = np.linalg.eigvalsh(op.toarray())[0]
+        assert res.eigenvalues[0] == pytest.approx(dense, abs=1e-9)
 
     def test_dense_ceiling_raises_with_diagnostics(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
@@ -210,11 +268,11 @@ class TestOneVerifiedSolve:
         monkeypatch.setattr(solver.spla, "eigsh", wrong_vectors)
         monkeypatch.setattr(solver, "DENSE_MAX_DIM", dim - 1)
         with pytest.raises(ConvergenceError) as err:
-            lowest_eigenpairs(op, 1, guess=variational_energy(p, "even"))
+            lowest_eigenpairs(op, 1)
         diag = err.value.diagnostics
         assert diag["dim"] == dim
         assert [a.split(":")[0] for a in diag["attempts"]] == [
-            "variational shift-invert", "gershgorin shift-invert", "SA", "dense fallback"]
+            "variational shift-invert", "gershgorin shift-invert", "dense fallback"]
         assert "ceiling" in diag["attempts"][-1]
         assert diag["residuals"].shape == (1,) and diag["residuals"][0] > RESIDUAL_TOL
 
@@ -232,22 +290,45 @@ class TestOneVerifiedSolve:
         dense = np.linalg.eigvalsh(op.toarray())[:2]
         assert np.allclose(res.eigenvalues, dense, atol=1e-10)
 
-    @pytest.mark.parametrize("guess", [True, False])
-    def test_same_bits_without_start_vector(self, guess):
+    @pytest.mark.parametrize("variational_shift", [True, False])
+    def test_same_bits_without_start_vector(self, monkeypatch, variational_shift):
         # the odd trial state cannot seed the separatrix; the start vector
-        # ARPACK then uses must not be drawn at random
+        # ARPACK then uses, on the variational shift and on the Gershgorin
+        # retry, must not be drawn at random
         p = ModelParams.from_ratio(1.0, 1.0, 40)
         op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), "odd"))
         assert op.dimension > solver.DENSE_CUTOFF
-        kwargs = {"guess": variational_energy(p, "odd")} if guess else {}
-        first, second = (lowest_eigenpairs(op, 1, **kwargs) for _ in range(2))
+        if not variational_shift:
+            _shift_at(monkeypatch, variational_energy(p, "odd") + 1.0)  # above E0
+        first, second = (lowest_eigenpairs(op, 1) for _ in range(2))
+        assert first.path == ("variational shift-invert" if variational_shift
+                              else "gershgorin shift-invert")
         assert np.array_equal(first.eigenvectors, second.eigenvectors)
         assert first.eigenvalues[0] == second.eigenvalues[0]
 
-    def test_cap_error_carries_record(self):
+    # the sector alone fixes shift and start: the separatrix odd state is
+    # annihilated (fixed-seed start), the superradiant even one is not
+    @pytest.mark.parametrize("x,parity", [(1.0, "odd"), (2.0, "even")])
+    def test_sector_reproduces_converge_ground(self, monkeypatch, x, parity):
+        p = ModelParams.from_ratio(1.0, x, 40)
+        res = converge_ground(p, parity)
+        assert res.path == "variational shift-invert"
+        calls = _record_eigsh(monkeypatch)
+        again = lowest_eigenpairs(build_hamiltonian(p, res.basis), 1)
+        assert again.path == res.path
+        assert np.array_equal(again.eigenvalues, res.eigenvalues)
+        assert np.array_equal(again.eigenvectors, res.eigenvectors)
+        if x == 1.0:
+            start = np.random.default_rng(0).uniform(-1.0, 1.0, res.basis.size)
+        else:
+            start = variational_vector(p, parity, res.basis)
+        assert len(calls) == 1 and np.array_equal(calls[0]["v0"], start)
+
+    def test_cap_error_carries_record(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 20)
+        _seed_at(monkeypatch, 50)
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", tol=1e-8, lambda_start=50, lambda_cap=52)
+            converge_ground(p, "even", tol=1e-8, lambda_cap=52)
         diag = err.value.diagnostics
         assert diag["dim"] == err.value.best.basis.size > solver.DENSE_CUTOFF
         assert diag["path"] == "variational shift-invert"
