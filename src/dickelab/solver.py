@@ -39,7 +39,6 @@ DENSE_CUTOFF = 200
 DENSE_MAX_DIM = 6000
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
-SEED_TOL = 1e-8  # the tolerance truncation_seed is calibrated at
 # the truncation estimate times this must stay below tol |E|
 TRUNCATION_SAFETY = 10.0
 
@@ -253,30 +252,27 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
 
 # -- truncation -------------------------------------------------------------------
 
-def truncation_seed(params: ModelParams, tol: float = SEED_TOL) -> dict:
+def truncation_seed(params: ModelParams) -> dict:
     """The first lambda_max and the excitation statistics it is drawn from.
 
-    lambda_seed = <Lambda> + s (6 sqrt(dLambda^2 + dc^2) + 6), with (<Lambda>,
+    lambda_seed = <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6, with (<Lambda>,
     dLambda) the closed-form lambda_statistics (zero in the normal phase) and
     dc = 1.25 omega_a^(1/6) N^(1/3) the width of the critical fluctuations,
     which the mean-field width misses near the separatrix.  Calibrated on
     omega_a in {0.25, 1, 4, 9}, N 10-140 and x 0.3-2.5 (1368 sector ground
     states below the default cap): every one is accepted at the seed with
-    tol = SEED_TOL, at least one shell of its parity above the smallest
-    lambda_max that passes.  s = sqrt(ln tol / ln SEED_TOL), 1 at SEED_TOL
-    and 0 for tol >= 1, widens it as a Gaussian tail would; at N 15-100 it
-    keeps one solve per sector down to tol = 1e-12.
+    tol = 1e-8, at least one shell of its parity above the smallest lambda_max
+    that passes.
     """
     mean, width = lambda_statistics(params)
     critical = 1.25 * params.omega_a ** (1.0 / 6.0) * params.n_atoms ** (1.0 / 3.0)
-    s = math.sqrt(max(0.0, math.log(tol) / math.log(SEED_TOL)))
-    seed = math.ceil(mean + 6.0 * s * math.hypot(width, critical) + 6.0 * s)
+    seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
     return {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width}
 
 
-def initial_lambda(params: ModelParams, tol: float = SEED_TOL) -> int:
+def initial_lambda(params: ModelParams) -> int:
     """Truncation seed from the closed-form excitation statistics."""
-    return truncation_seed(params, tol)["lambda_seed"]
+    return truncation_seed(params)["lambda_seed"]
 
 
 def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
@@ -305,8 +301,8 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                     k: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
     """The k lowest eigenpairs of a sector, converged in truncation by one solve.
 
-    The first lambda_max is truncation_seed at ``tol``, lowered to
-    ``lambda_cap`` when above it.  A solve is accepted when TRUNCATION_SAFETY
+    The first lambda_max is truncation_seed, lowered to ``lambda_cap`` when
+    above it.  A solve is accepted when TRUNCATION_SAFETY
     times its truncation estimate is at most ``tol`` |E| for every
     eigenvalue; otherwise lambda_max grows by 2 and the sector is solved
     again.  Raises ConvergenceError (carrying the best result and its
@@ -316,7 +312,7 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    seed = truncation_seed(params, tol)
+    seed = truncation_seed(params)
     lam = min(seed["lambda_seed"], lambda_cap)
     history: list[tuple[int, np.ndarray]] = []
     best = None
