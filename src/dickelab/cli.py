@@ -7,6 +7,7 @@ configurations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -87,6 +88,8 @@ class UsageError(Exception):
     pass
 
 
+# parse_args leaves the parser unchanged, so one parser serves every main() call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dickelab",

@@ -121,22 +121,14 @@ def build_sector_basis(params: ModelParams, lambda_max: int,
         raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
     if parity not in (None, "even", "odd"):
         raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
-    if parity is None:
-        lams = range(0, lambda_max + 1)
-    else:
-        lams = range(0 if parity == "even" else 1, lambda_max + 1, 2)
-    nu_blocks = []
-    for lam in lams:
-        # nu + n_e = lam with 0 <= n_e <= N
-        nu_blocks.append(np.arange(max(0, lam - params.n_atoms), lam + 1))
-    if nu_blocks:
-        nu = np.concatenate(nu_blocks)
-        lam_arr = np.concatenate([np.full(b.size, l) for b, l in zip(nu_blocks, lams)])
-        ne = lam_arr - nu
-    else:
-        nu = np.zeros(0, dtype=np.int64)
-        ne = np.zeros(0, dtype=np.int64)
-    return SectorBasis(params, lambda_max, parity, nu.astype(np.int64), ne.astype(np.int64))
+    # lambda shells of the parity, each holding nu = max(0, lam - N) .. lam
+    lams = np.arange(1 if parity == "odd" else 0, lambda_max + 1, 1 if parity is None else 2)
+    counts = np.minimum(lams, params.n_atoms) + 1
+    lam = np.repeat(lams, counts)
+    first = np.cumsum(counts) - counts
+    nu = np.arange(lam.size) - np.repeat(first - np.maximum(lams - params.n_atoms, 0), counts)
+    ne = lam - nu
+    return SectorBasis(params, lambda_max, parity, nu, ne)
 
 
 def sector_dimension(n_atoms: int, lambda_max: int, parity: str | None = None) -> int:
@@ -204,11 +196,15 @@ def _spin_minus_amp(ne: np.ndarray, n_atoms: int) -> np.ndarray:
 
 
 def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix:
-    """Assemble H on the given basis; exact symmetry by construction.
+    """Assemble H on the given basis as a canonical CSR matrix; exact symmetry
+    by construction.
 
-    Diagonal: nu + omega_a (n_e - j).  Off-diagonal: the four ladder
-    combinations of (a'+a)(J+ + J-), each scaled by gamma/sqrt(N).  Every
-    coupling changes lambda by 0 or +-2, so parity is preserved exactly.
+    Diagonal: nu + omega_a (n_e - j), stored in every row.  Off-diagonal: the
+    four ladder combinations of (a'+a)(J+ + J-), each scaled by gamma/sqrt(N).
+    Every coupling changes lambda by 0 or +-2, so parity is preserved exactly.
+    In the (lambda, nu) ordering the row of (nu, n_e) is a five-point stencil
+    whose columns (nu-1, n_e-1), (nu-1, n_e+1), (nu, n_e), (nu+1, n_e-1),
+    (nu+1, n_e+1) ascend, so dropping the absent neighbours leaves sorted rows.
     """
     if basis.params != params:
         raise ValueError("basis was built for different model parameters")
@@ -216,26 +212,23 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
     nu, ne = basis.nu, basis.ne
     diag = nu + params.omega_a * (ne - params.j)
     idx = np.arange(n)
-    rows = [idx]
     cols = [idx]
     vals = [diag]
     if params.gamma != 0.0:
         g = params.gamma / math.sqrt(params.n_atoms)
         field_up = np.sqrt(nu + 1.0)
-        # a' J+ raises lambda by 2; a' J- keeps lambda fixed.  The remaining
-        # two combinations are their transposes.
-        for dne, spin_amp in ((1, _spin_plus_amp(ne, params.n_atoms)),
-                              (-1, _spin_minus_amp(ne, params.n_atoms))):
-            tgt = basis.lookup(nu + 1, ne + dne)
-            ok = tgt >= 0
-            src = idx[ok]
-            t = tgt[ok]
-            v = g * field_up[ok] * spin_amp[ok]
-            rows += [src, t]
-            cols += [t, src]
-            vals += [v, v]
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+        # a' J+ and a' J- from each state; the lower neighbours' entries are
+        # the transposes, read from the state that raises into this one
+        plus = g * field_up * _spin_plus_amp(ne, params.n_atoms)
+        minus = g * field_up * _spin_minus_amp(ne, params.n_atoms)
+        down_plus = basis.lookup(nu - 1, ne - 1)
+        down_minus = basis.lookup(nu - 1, ne + 1)
+        cols = [down_plus, down_minus, idx, basis.lookup(nu + 1, ne - 1),
+                basis.lookup(nu + 1, ne + 1)]
+        vals = [plus[down_plus], minus[down_minus], diag, minus, plus]
+    cols = np.stack(cols, axis=1)
+    present = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    H = sp.csr_matrix((np.stack(vals, axis=1)[present], cols[present], indptr), shape=(n, n))
     return OperatorMatrix(H, basis)

@@ -32,8 +32,10 @@ from .model import (ModelParams, OperatorMatrix, SectorBasis, _spin_plus_amp, bu
 from .sas import sas_coefficients_at
 from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 
-# dense eigh and the verified sparse solve both take ~1.8 ms near 200 states
-# (single-threaded BLAS); below, dense is faster, above, sparse
+# dense eigh and the verified sparse solve both take ~1.6 ms near 150-170
+# states, and 2.4 against 1.8 ms at 200 (single-threaded BLAS, 2-core host);
+# the cutoff stays at 200 because moving it changes which path solves a
+# sector, which needs its own benchmark
 DENSE_CUTOFF = 200
 # dense fallback ceiling: toarray() of 6000 states is 288 MB
 DENSE_MAX_DIM = 6000
@@ -151,16 +153,30 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
+def _diagonal_positions(H) -> np.ndarray:
+    """Where the diagonal sits in H.data; build_hamiltonian stores it in every row."""
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    return np.flatnonzero(H.indices == rows)
+
+
+def _abs_row_sums(H, data: np.ndarray) -> np.ndarray:
+    """Row sums of |data| laid out on H's sparsity pattern (no row is empty)."""
+    return np.add.reduceat(np.abs(data), H.indptr[:-1])
+
+
 def _gershgorin_lower(H) -> float:
-    d = H.diagonal()
-    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
+    d = H.data[_diagonal_positions(H)]
+    radius = _abs_row_sums(H, H.data) - np.abs(d)
     return float((d - radius).min())
 
 
 def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
-    shifted = (H - sigma * sp.identity(n, format="csr")).tocsc()
+    data = H.data.copy()
+    data[_diagonal_positions(H)] -= sigma
+    # H is symmetric, so the CSR arrays of H - sigma I are also its CSC arrays
+    shifted = sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
     # relax=panel_size=1: at ~40 factor entries per row supernodes do not
     # pay; factor plus solves ran ~25% faster on sectors of 1.7k-14k states
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -174,8 +190,9 @@ def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
     # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
-    # this tol meets RESIDUAL_TOL without iterating on to machine precision
-    tol = RESIDUAL_TOL / spla.norm(shifted, 1)
+    # this tol meets RESIDUAL_TOL without iterating on to machine precision.
+    # By symmetry the 1-norm, a largest column sum, is the largest row sum.
+    tol = RESIDUAL_TOL / _abs_row_sums(H, data).max()
     return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=start,
                       ncv=min(n, 2 * k + 4), tol=tol)
 

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 
@@ -88,6 +89,38 @@ def dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
                 if tgt in index:
                     H[index[tgt], i] += g * fld * spin
     return H, states
+
+
+def coo_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
+    """Sparse H from (row, col, value) triplets gathered in loops, converted
+    from COO to CSR by SciPy: the diagonal of every state, then each a'J+ and
+    a'J- coupling with its transpose, in the states' (lambda, nu) order."""
+    states = sorted(enumerate_states(n_atoms, lambda_max, parity),
+                    key=lambda s: (s[0] + s[1], s[0]))
+    index = {s: i for i, s in enumerate(states)}
+    j = n_atoms / 2.0
+    rows, cols, vals = [], [], []
+    for (nu, ne), i in index.items():
+        rows.append(i)
+        cols.append(i)
+        vals.append(nu + omega_a * (ne - j))
+    if gamma != 0.0:
+        g = gamma / math.sqrt(n_atoms)
+        for dne in (1, -1):
+            for (nu, ne), i in index.items():
+                t = index.get((nu + 1, ne + dne))
+                if t is None:
+                    continue
+                if dne == 1:
+                    spin = math.sqrt((n_atoms - ne) * (ne + 1.0))
+                else:
+                    spin = math.sqrt(ne * (n_atoms - ne + 1.0))
+                v = g * math.sqrt(nu + 1.0) * spin
+                rows += [i, t]
+                cols += [t, i]
+                vals += [v, v]
+    dim = len(states)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def field_matrices(nu_max):

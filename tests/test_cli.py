@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dickelab.cli import main
+from dickelab import __version__
+from dickelab.cli import _build_parser, main
 from dickelab.dataset import Dataset
 
 
@@ -215,6 +216,21 @@ class TestOutput:
                 "--gamma-max", "0.6", "--steps", "3", "--parity", "odd")
         outs = {run_cli(capsys, *args)[1] for _ in range(3)}
         assert len(outs) == 1
+
+    def test_one_parser_answers_every_call(self, capsys):
+        # main() reuses one parser per process: a usage error, --version and
+        # earlier commands must leave no trace in later answers
+        argvs = [("spectrum", "--bogus"), ("--version",), ("figures", "--id", "3", "--n-atoms", "8"),
+                 ("spectrum", "--n-atoms", "6", "--gamma", "0.7"),
+                 ("figures", "--id", "3", "--n-atoms", "8")]
+        answers = [run_cli(capsys, *argv) for argv in argvs + argvs]
+        first = {}
+        for argv, answer in zip(argvs + argvs, answers):
+            assert answer == first.setdefault(argv, answer)
+        assert [code for code, _, _ in answers[:5]] == [2, 0, 0, 0, 0]
+        assert "unrecognized arguments: --bogus" in answers[0][2]
+        assert answers[1][1] == f"{__version__}\n"
+        assert _build_parser() is _build_parser()
 
     def test_csv_metadata_header(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--gamma", "0.3", "--n-atoms", "2")

@@ -168,6 +168,25 @@ class TestHamiltonian:
             assert ours == states
             assert np.max(np.abs(H - Hb)) < 1e-14
 
+    # parity sectors and the full space; no, negative and positive coupling;
+    # integer and half-integer j; lambda_max below and above N
+    @pytest.mark.parametrize("parity", [None, "even", "odd"])
+    @pytest.mark.parametrize("gamma", [0.0, -0.7, 1.3])
+    @pytest.mark.parametrize("n_atoms,lam_max", [(8, 5), (8, 21), (7, 4), (7, 18)])
+    def test_canonical_stencil_matches_coo_reference(self, parity, gamma, n_atoms, lam_max):
+        p = ModelParams(0.8, gamma, n_atoms)
+        H = build_hamiltonian(p, build_sector_basis(p, lam_max, parity)).matrix
+        ref = brute.coo_hamiltonian(0.8, gamma, n_atoms, lam_max, parity)
+        n = H.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(H.indptr))
+        same_row = rows[1:] == rows[:-1]
+        assert np.all(np.diff(H.indices)[same_row] > 0)  # sorted, no duplicates
+        assert np.array_equal(rows[H.indices == rows], np.arange(n))  # one diagonal per row
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(H, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
     def test_exact_symmetry(self):
         p = ModelParams(1.0, 1.2, 6)
         H = build_hamiltonian(p, build_sector_basis(p, 18, "even")).matrix

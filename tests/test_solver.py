@@ -231,7 +231,47 @@ class TestOneVerifiedSolve:
         assert len(calls) == 1
         assert calls[0]["sigma"] == sigma
         assert isinstance(calls[0]["OPinv"], solver.spla.LinearOperator)
-        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1)
+        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
+
+    # in the odd sector at N = 30 the lambda = 15 shell has a zero diagonal,
+    # which H stores
+    @pytest.mark.parametrize("x,parity", [(2.0, "even"), (0.98, "odd")])
+    def test_factored_in_place_of_the_scipy_shift(self, monkeypatch, x, parity):
+        p = ModelParams.from_ratio(1.0, x, 30)
+        op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), parity))
+        H = op.matrix
+        assert op.dimension > solver.DENSE_CUTOFF
+        assert (parity == "odd") == (0.0 in H.diagonal())
+        before = [H.data.copy(), H.indices.copy(), H.indptr.copy()]
+        factored = []
+        splu = solver.spla.splu
+
+        def recording(A, **kwargs):
+            factored.append(A.copy())
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", recording)
+        calls = _record_eigsh(monkeypatch)
+        res = lowest_eigenpairs(op, 1)
+        assert res.path == "variational shift-invert"
+        sigma = variational_energy(p, parity) - shift_margin(p)
+        want = (H - sigma * sp.identity(H.shape[0], format="csr")).tocsc()
+        assert len(factored) == 1 and factored[0].format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(factored[0], name), getattr(want, name))
+        norm1 = abs(want).sum(axis=0).max()
+        assert calls[0]["tol"] == RESIDUAL_TOL / norm1
+        # splu is handed H's own index arrays; H must come back untouched
+        for got, kept in zip((H.data, H.indices, H.indptr), before):
+            assert np.array_equal(got, kept)
+
+    @pytest.mark.parametrize("n_atoms,x,parity", [(20, 1.5, "even"), (17, 0.6, "odd")])
+    def test_gershgorin_bound_from_the_row_sums(self, n_atoms, x, parity):
+        p = ModelParams.from_ratio(1.0, x, n_atoms)
+        H = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), parity)).matrix
+        d = H.diagonal()
+        radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
+        assert solver._gershgorin_lower(H) == float((d - radius).min())
 
     def test_dense_ceiling_raises_with_diagnostics(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
@@ -390,5 +430,5 @@ class TestClosedFormSizing:
         H = build_hamiltonian(p, res.basis).matrix
         sigma = variational_energy(p, "even") - shift_margin(p)
         norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
-        assert tols == [pytest.approx(RESIDUAL_TOL / norm1)]
+        assert tols == [pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)]
         assert res.residuals[0] <= RESIDUAL_TOL
