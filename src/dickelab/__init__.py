@@ -54,7 +54,6 @@ from .sas import (
 from .solver import (
     SpectralResult,
     converge_ground,
-    initial_lambda,
     lowest_eigenpairs,
 )
 from .surface import (

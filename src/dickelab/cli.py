@@ -32,7 +32,7 @@ from .sas import (
     marginal_photon,
     sas_observables,
 )
-from .solver import converge_ground
+from .solver import DEFAULT_LAMBDA_CAP, converge_ground
 
 
 @dataclass
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--parity", choices=["even", "odd", "both"], default="both")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="relative convergence tolerance (default 1e-8)")
-        sp.add_argument("--lambda-max-cap", type=int, default=400)
+        sp.add_argument("--lambda-max-cap", type=int, default=DEFAULT_LAMBDA_CAP)
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 

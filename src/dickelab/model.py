@@ -226,9 +226,10 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
         cols = [down_plus, down_minus, idx, basis.lookup(nu + 1, ne - 1),
                 basis.lookup(nu + 1, ne + 1)]
         vals = [plus[down_plus], minus[down_minus], diag, minus, plus]
-    cols = np.stack(cols, axis=1)
+    # int32 indices, as SciPy stores them: it keeps these arrays uncopied
+    cols = np.stack(cols, axis=1, dtype=np.int32)
     present = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
     H = sp.csr_matrix((np.stack(vals, axis=1)[present], cols[present], indptr), shape=(n, n))
     return OperatorMatrix(H, basis)

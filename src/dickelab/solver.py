@@ -1,15 +1,16 @@
 """Lowest eigenpairs per parity sector, one verified solve per sweep point.
 
-Sectors of up to DENSE_CUTOFF states use dense LAPACK.  Larger sectors use
-one algorithm, shift-invert ARPACK at a shift the sector supplies: (1 +
-omega_a)/2 below its closed-form variational energy, started from the
-variational state, and on rejection the Gershgorin bound.  A shift is
-accepted only when the symmetric LDL^T factorization of H - sigma I pivots
-on the diagonal and has no negative pivot: by Sylvester's law of inertia
-every eigenvalue then lies above it.  ARPACK stops as soon as its residual
-bound meets the contract ||H v - E v|| <= 1e-8; every result is
-residual-checked against it, with dense LAPACK up to DENSE_MAX_DIM states
-as the last resort.
+Each sector has one solver.  Sectors of up to DENSE_CUTOFF states use dense
+LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
+supplies: (1 + omega_a)/2 below its closed-form variational energy, started
+from the variational state; the parity-free basis, which has no variational
+state, uses one below the Gershgorin bound.  A shift is accepted only when
+the symmetric LDL^T factorization of H - sigma I pivots on the diagonal and
+has no negative pivot: by Sylvester's law of inertia every eigenvalue then
+lies above it.  ARPACK stops as soon as its residual bound meets the
+contract ||H v - E v|| <= 1e-8, and every result is residual-checked
+against it.  A rejected shift, a solver error or a missed residual raises
+ConvergenceError; nothing is retried.
 
 converge_ground seeds the truncation from the closed-form mean and width of
 the excitation number and accepts it from that one solve when the energy the
@@ -37,8 +38,6 @@ from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 # the cutoff stays at 200 because moving it changes which path solves a
 # sector, which needs its own benchmark
 DENSE_CUTOFF = 200
-# dense fallback ceiling: toarray() of 6000 states is 288 MB
-DENSE_MAX_DIM = 6000
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
 # the truncation estimate times this must stay below tol |E|
@@ -52,9 +51,8 @@ class SpectralResult:
     ``eigenvalues`` are ascending, eigenvectors unit-norm columns in the
     SectorBasis ordering with the largest-magnitude coefficient positive.
     ``history`` records (lambda_max, eigenvalues) per truncation step.
-    ``path`` names the solver that produced the result ("dense",
-    "variational shift-invert", "gershgorin shift-invert" or "dense
-    fallback") and ``attempts`` why each earlier one was rejected.
+    ``path`` names the one solver the sector was given ("dense",
+    "variational shift-invert" or "gershgorin shift-invert").
     ``truncation_estimate`` is the second-order energy leak per eigenvalue
     and ``seed`` the truncation_seed record (both set by converge_ground).
     """
@@ -67,16 +65,15 @@ class SpectralResult:
     converged: bool = False
     history: list = field(default_factory=list)
     path: str = ""
-    attempts: list = field(default_factory=list)
     residuals: np.ndarray | None = None
     truncation_estimate: np.ndarray | None = None
     seed: dict = field(default_factory=dict)
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
-        return {"dim": self.basis.size, "path": self.path, "attempts": list(self.attempts),
-                "residuals": self.residuals, "truncation_estimate": self.truncation_estimate,
-                "history": self.history, **self.seed}
+        return {"dim": self.basis.size, "path": self.path, "residuals": self.residuals,
+                "truncation_estimate": self.truncation_estimate, "history": self.history,
+                **self.seed}
 
 
 # -- closed-form trial states --------------------------------------------------
@@ -141,10 +138,6 @@ def shift_margin(params: ModelParams) -> float:
 
 # -- eigensolvers -----------------------------------------------------------------
 
-class _ShiftRejected(RuntimeError):
-    """The factorization does not prove the shift lies below the spectrum."""
-
-
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     for col in range(vecs.shape[1]):
         i = np.argmax(np.abs(vecs[:, col]))
@@ -182,11 +175,11 @@ def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
     lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    relax=1, panel_size=1, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise _ShiftRejected("factorization pivoted off the diagonal")
+        raise RuntimeError("factorization pivoted off the diagonal")
     below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     if below:
-        raise _ShiftRejected(f"{below} eigenvalue{'s' if below > 1 else ''} "
-                             f"below shift {sigma:.6g}")
+        raise RuntimeError(f"{below} eigenvalue{'s' if below > 1 else ''} "
+                           f"below shift {sigma:.6g}")
     opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
     # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
@@ -211,59 +204,53 @@ def _start_vector(basis: SectorBasis) -> np.ndarray:
 def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
     """k lowest eigenpairs of a symmetric operator on a sector, residual-checked.
 
-    Above DENSE_CUTOFF states _verified_shift_invert runs from _start_vector
-    at shift_margin below the sector's variational energy (parity sectors
-    only), then at the Gershgorin bound; dense LAPACK is the last resort up
-    to DENSE_MAX_DIM states.  Each failure or rejection is recorded and the
-    next solver tried; ConvergenceError is raised when none meets the
-    residual tolerance.
+    Up to DENSE_CUTOFF states, or when k >= dim - 1, dense LAPACK solves the
+    sector.  Above it one _verified_shift_invert runs from _start_vector at
+    the shift the sector supplies: shift_margin below its variational energy
+    for a parity sector, one below the Gershgorin bound for the parity-free
+    basis.  A rejected shift, an ARPACK or SuperLU error or a residual above
+    RESIDUAL_TOL raises ConvergenceError.
     """
     dim = op.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in [1, {dim}], got {k}")
     H = op.matrix
-    solvers = []
-    if dim > DENSE_CUTOFF and k < dim - 1:
-        params, parity = op.basis.params, op.basis.parity
-        start = _start_vector(op.basis)
-        if parity is not None:
-            sigma = variational_energy(params, parity) - shift_margin(params)
-            solvers.append(("variational shift-invert",
-                            lambda: _verified_shift_invert(H, k, sigma, start)))
-        solvers.append(("gershgorin shift-invert",
-                        lambda: _verified_shift_invert(H, k, _gershgorin_lower(H) - 1.0, start)))
-    dense_path = "dense" if dim <= DENSE_CUTOFF else "dense fallback"
-    if dim <= DENSE_MAX_DIM:
-        solvers.append((dense_path, lambda: la.eigh(H.toarray(), subset_by_index=(0, k - 1))))
-    attempts = []
+    params, parity = op.basis.params, op.basis.parity
     residuals = None
-    for path, solve in solvers:
-        try:
-            vals, vecs = solve()
-        except (RuntimeError, ValueError) as exc:  # ARPACK, SuperLU, rejected shift
-            attempts.append(f"{path}: {exc}")
-            continue
+    if dim <= DENSE_CUTOFF or k >= dim - 1:
+        path = "dense"
+    elif parity is not None:
+        path = "variational shift-invert"
+        sigma = variational_energy(params, parity) - shift_margin(params)
+    else:
+        path = "gershgorin shift-invert"
+        sigma = _gershgorin_lower(H) - 1.0
+    try:
+        if path == "dense":
+            vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, k - 1))
+        else:
+            vals, vecs = _verified_shift_invert(H, k, sigma, _start_vector(op.basis))
+    except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, SuperLU, rejected shift
+        reason = str(exc)
+    else:
         order = np.argsort(vals)
         vals = np.asarray(vals)[order]
         vecs = _fix_signs(np.asarray(vecs)[:, order])
         residuals = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
         if np.all(residuals <= RESIDUAL_TOL):
             return SpectralResult(
-                parity=op.basis.parity,
+                parity=parity,
                 lambda_max=op.basis.lambda_max,
                 eigenvalues=vals,
                 eigenvectors=vecs,
                 basis=op.basis,
                 path=path,
-                attempts=attempts,
                 residuals=residuals,
             )
-        attempts.append(f"{path}: residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}")
-    if dim > DENSE_MAX_DIM:
-        attempts.append(f"{dense_path}: dimension {dim} above the ceiling {DENSE_MAX_DIM}")
+        reason = f"residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
     raise ConvergenceError(
-        f"no eigensolver met the residual tolerance {RESIDUAL_TOL:.1e} at dimension {dim}",
-        diagnostics={"dim": dim, "attempts": attempts, "residuals": residuals},
+        f"{path} failed at dimension {dim}: {reason}",
+        diagnostics={"dim": dim, "path": path, "reason": reason, "residuals": residuals},
     )
 
 
@@ -285,11 +272,6 @@ def truncation_seed(params: ModelParams) -> dict:
     critical = 1.25 * params.omega_a ** (1.0 / 6.0) * params.n_atoms ** (1.0 / 3.0)
     seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
     return {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width}
-
-
-def initial_lambda(params: ModelParams) -> int:
-    """Truncation seed from the closed-form excitation statistics."""
-    return truncation_seed(params)["lambda_seed"]
 
 
 def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,

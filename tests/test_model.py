@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from dickelab import model
 from dickelab.model import (
     ModelParams,
     build_hamiltonian,
@@ -186,6 +187,23 @@ class TestHamiltonian:
             got, want = getattr(H, name), getattr(ref, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+    # the full space and a sector, with and without coupling
+    @pytest.mark.parametrize("parity,gamma", [(None, 0.0), ("even", 1.3), ("odd", -0.7)])
+    def test_csr_constructor_keeps_the_index_arrays(self, monkeypatch, parity, gamma):
+        given = []
+        csr_matrix = model.sp.csr_matrix
+
+        def recording(arg, **kwargs):
+            given.append(arg)
+            return csr_matrix(arg, **kwargs)
+
+        monkeypatch.setattr(model.sp, "csr_matrix", recording)
+        p = ModelParams(0.8, gamma, 8)
+        H = build_hamiltonian(p, build_sector_basis(p, 21, parity)).matrix
+        (_, indices, indptr), = given
+        assert np.shares_memory(H.indices, indices)
+        assert np.shares_memory(H.indptr, indptr)
 
     def test_exact_symmetry(self):
         p = ModelParams(1.0, 1.2, 6)

@@ -10,9 +10,9 @@ from dickelab.sas import photon_number_coherent
 from dickelab.solver import (
     RESIDUAL_TOL,
     converge_ground,
-    initial_lambda,
     lowest_eigenpairs,
     shift_margin,
+    truncation_seed,
     variational_energy,
     variational_vector,
 )
@@ -131,14 +131,15 @@ class TestConvergeGround:
         assert res.converged
         assert res.lambda_max < 400
         # one solve settles at the seed
-        assert [lam for lam, _ in res.history] == [initial_lambda(p)]
+        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
         _assert_settled(res, p, "even", 1, 1e-8)
 
     def test_gamma_zero_converges_immediately(self):
         p = ModelParams(1.0, 0.0, 6)
         res = converge_ground(p, "even", tol=1e-12)
         assert res.converged
-        assert [lam for lam, _ in res.history] == [initial_lambda(p)]  # nothing leaks
+        # nothing leaks
+        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
         _assert_settled(res, p, "even", 1, 1e-12)
         assert res.eigenvalues[0] == pytest.approx(-3.0, abs=1e-14)
 
@@ -174,11 +175,11 @@ class TestConvergeGround:
         # dLambda^2 = 11.71875 and dc = 1.25 * 10^(1/3) at N = 10, x = 2
         assert lambda_statistics(p) == pytest.approx((13.125, np.sqrt(11.71875)))
         critical = 1.25 * 10 ** (1 / 3)
-        assert initial_lambda(p) == int(np.ceil(13.125 + 6 * np.sqrt(11.71875 + critical ** 2)
-                                                + 6))
-        assert solver.truncation_seed(p) == {"lambda_seed": initial_lambda(p),
-                                             "lambda_mean": 13.125,
-                                             "lambda_width": pytest.approx(np.sqrt(11.71875))}
+        seed = truncation_seed(p)["lambda_seed"]
+        assert seed == int(np.ceil(13.125 + 6 * np.sqrt(11.71875 + critical ** 2) + 6))
+        assert truncation_seed(p) == {"lambda_seed": seed,
+                                      "lambda_mean": 13.125,
+                                      "lambda_width": pytest.approx(np.sqrt(11.71875))}
 
     def test_even_odd_near_degenerate_above_transition(self):
         p = ModelParams(1.0, 1.0, 20)
@@ -200,7 +201,6 @@ class TestOneVerifiedSolve:
         assert np.all(res.residuals <= RESIDUAL_TOL)
         assert np.all(10.0 * res.truncation_estimate <= 1e-8 * np.abs(res.eigenvalues))
         assert res.path in ("dense", "variational shift-invert")
-        assert res.attempts == []
         # the exact sector ground energy lies below the variational bound
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-12
 
@@ -213,32 +213,29 @@ class TestOneVerifiedSolve:
 
     def test_guess_above_first_excited_rejected(self, monkeypatch):
         p = ModelParams.from_ratio(1.0, 1.5, 20)
-        basis = build_sector_basis(p, initial_lambda(p), "even")
+        basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], "even")
         op = build_hamiltonian(p, basis)
-        H = op.matrix
         assert op.dimension > solver.DENSE_CUTOFF
-        e0, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
+        _, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
         sigma = 0.5 * (e1 + e2)
         _shift_at(monkeypatch, sigma)
         calls = _record_eigsh(monkeypatch)
-        res = lowest_eigenpairs(op, 1)
-        assert res.attempts == [f"variational shift-invert: 2 eigenvalues below shift {sigma:.6g}"]
-        assert res.path == "gershgorin shift-invert"
-        assert res.eigenvalues[0] == pytest.approx(e0, abs=1e-9)
-        # the retry carries the same inertia proof and ARPACK stop
-        sigma = solver._gershgorin_lower(H) - 1.0
-        norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
-        assert len(calls) == 1
-        assert calls[0]["sigma"] == sigma
-        assert isinstance(calls[0]["OPinv"], solver.spla.LinearOperator)
-        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op, 1)
+        diag = err.value.diagnostics
+        assert diag["reason"] == f"2 eigenvalues below shift {sigma:.6g}"
+        assert diag["path"] == "variational shift-invert"
+        assert diag["dim"] == op.dimension
+        assert diag["residuals"] is None
+        # the inertia proof comes before ARPACK, and nothing is retried
+        assert calls == []
 
     # in the odd sector at N = 30 the lambda = 15 shell has a zero diagonal,
     # which H stores
     @pytest.mark.parametrize("x,parity", [(2.0, "even"), (0.98, "odd")])
     def test_factored_in_place_of_the_scipy_shift(self, monkeypatch, x, parity):
         p = ModelParams.from_ratio(1.0, x, 30)
-        op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), parity))
+        op = build_hamiltonian(p, build_sector_basis(p, truncation_seed(p)["lambda_seed"], parity))
         H = op.matrix
         assert op.dimension > solver.DENSE_CUTOFF
         assert (parity == "odd") == (0.0 in H.diagonal())
@@ -268,7 +265,8 @@ class TestOneVerifiedSolve:
     @pytest.mark.parametrize("n_atoms,x,parity", [(20, 1.5, "even"), (17, 0.6, "odd")])
     def test_gershgorin_bound_from_the_row_sums(self, n_atoms, x, parity):
         p = ModelParams.from_ratio(1.0, x, n_atoms)
-        H = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), parity)).matrix
+        basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], parity)
+        H = build_hamiltonian(p, basis).matrix
         d = H.diagonal()
         radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
         assert solver._gershgorin_lower(H) == float((d - radius).min())
@@ -283,14 +281,12 @@ class TestOneVerifiedSolve:
             return np.zeros(k), np.eye(H.shape[0], k)
 
         monkeypatch.setattr(solver.spla, "eigsh", wrong_vectors)
-        monkeypatch.setattr(solver, "DENSE_MAX_DIM", dim - 1)
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 1)
         diag = err.value.diagnostics
         assert diag["dim"] == dim
-        assert [a.split(":")[0] for a in diag["attempts"]] == [
-            "variational shift-invert", "gershgorin shift-invert", "dense fallback"]
-        assert "ceiling" in diag["attempts"][-1]
+        assert diag["path"] == "variational shift-invert"
+        assert diag["reason"].startswith("residual ")
         assert diag["residuals"].shape == (1,) and diag["residuals"][0] > RESIDUAL_TOL
 
     def test_dense_fallback_below_ceiling(self, monkeypatch):
@@ -301,22 +297,59 @@ class TestOneVerifiedSolve:
             raise RuntimeError("no convergence")
 
         monkeypatch.setattr(solver.spla, "eigsh", failing)
+        dense_calls = []
+        monkeypatch.setattr(solver.la, "eigh", lambda *a, **kw: dense_calls.append(a))
+        with pytest.raises(ConvergenceError, match="no convergence") as err:
+            lowest_eigenpairs(op, 2)
+        diag = err.value.diagnostics
+        assert diag["dim"] == op.dimension > solver.DENSE_CUTOFF
+        assert diag["path"] == "variational shift-invert"
+        assert diag["reason"] == "no convergence"
+        assert diag["residuals"] is None
+        assert dense_calls == []
+
+    def test_parity_free_basis_on_the_gershgorin_shift(self, monkeypatch):
+        p = ModelParams.from_ratio(1.0, 1.5, 20)
+        op = build_hamiltonian(p, build_sector_basis(p, 40, None))
+        H = op.matrix
+        assert op.dimension > solver.DENSE_CUTOFF
+        sectors = np.concatenate([_solve(p, 40, parity, 2).eigenvalues
+                                  for parity in ("even", "odd")])
+        calls = _record_eigsh(monkeypatch)
         res = lowest_eigenpairs(op, 2)
-        assert res.path == "dense fallback"
-        assert len(res.attempts) == 2
-        dense = np.linalg.eigvalsh(op.toarray())[:2]
-        assert np.allclose(res.eigenvalues, dense, atol=1e-10)
+        assert res.path == "gershgorin shift-invert"
+        assert np.allclose(res.eigenvalues, np.sort(sectors)[:2], rtol=0.0, atol=1e-9)
+        # the same inertia proof and ARPACK stop as on the variational shift
+        sigma = solver._gershgorin_lower(H) - 1.0
+        norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
+        assert len(calls) == 1
+        assert calls[0]["sigma"] == sigma
+        assert isinstance(calls[0]["OPinv"], solver.spla.LinearOperator)
+        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
+
+    def test_all_but_one_eigenpair_solved_dense(self):
+        p = ModelParams(1.0, 1.0, 10)
+        op = build_hamiltonian(p, build_sector_basis(p, 60, "even"))
+        dim = op.dimension
+        assert dim > solver.DENSE_CUTOFF
+        res = lowest_eigenpairs(op, dim - 1)
+        assert res.path == "dense"
+        dense = np.linalg.eigvalsh(op.toarray())[:dim - 1]
+        assert np.allclose(res.eigenvalues, dense, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("variational_shift", [True, False])
-    def test_same_bits_without_start_vector(self, monkeypatch, variational_shift):
-        # the odd trial state cannot seed the separatrix; the start vector
-        # ARPACK then uses, on the variational shift and on the Gershgorin
-        # retry, must not be drawn at random
-        p = ModelParams.from_ratio(1.0, 1.0, 40)
-        op = build_hamiltonian(p, build_sector_basis(p, initial_lambda(p), "odd"))
+    def test_same_bits_without_start_vector(self, variational_shift):
+        # the odd trial state cannot seed the separatrix and the parity-free
+        # basis has none; the start vector ARPACK then uses, at the
+        # variational and at the Gershgorin shift, must not be drawn at random
+        if variational_shift:
+            p = ModelParams.from_ratio(1.0, 1.0, 40)
+            basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], "odd")
+        else:
+            p = ModelParams.from_ratio(1.0, 1.5, 20)
+            basis = build_sector_basis(p, 40, None)
+        op = build_hamiltonian(p, basis)
         assert op.dimension > solver.DENSE_CUTOFF
-        if not variational_shift:
-            _shift_at(monkeypatch, variational_energy(p, "odd") + 1.0)  # above E0
         first, second = (lowest_eigenpairs(op, 1) for _ in range(2))
         assert first.path == ("variational shift-invert" if variational_shift
                               else "gershgorin shift-invert")
@@ -355,7 +388,7 @@ class TestOneVerifiedSolve:
 
     def test_seed_above_cap_solves_once_at_the_cap(self):
         p = ModelParams(1.0, 1.0, 10)
-        assert initial_lambda(p) > 4
+        assert truncation_seed(p)["lambda_seed"] > 4
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, "even", lambda_cap=4)
         assert err.value.best is not None
@@ -365,7 +398,7 @@ class TestOneVerifiedSolve:
     def test_seed_above_default_cap_converges_at_the_cap(self, parity):
         # N = 220, x = 2: the seed is 402, but the cap of 400 already suffices
         p = ModelParams.from_ratio(1.0, 2.0, 220)
-        assert initial_lambda(p) > solver.DEFAULT_LAMBDA_CAP
+        assert truncation_seed(p)["lambda_seed"] > solver.DEFAULT_LAMBDA_CAP
         res = converge_ground(p, parity, tol=1e-8)
         assert res.converged and res.lambda_max <= solver.DEFAULT_LAMBDA_CAP
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
@@ -382,7 +415,6 @@ class TestOneVerifiedSolve:
         # ... and from a sector no eigensolver meets the residual tolerance in
         monkeypatch.setattr(solver.spla, "eigsh",
                             lambda H, k, **kwargs: (np.zeros(k), np.eye(H.shape[0], k)))
-        monkeypatch.setattr(solver, "DENSE_MAX_DIM", solver.DENSE_CUTOFF)
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, "even")
         assert {key: err.value.diagnostics[key] for key in seed} == seed
@@ -401,7 +433,7 @@ class TestClosedFormSizing:
     def test_calibration_grid_accepted_at_the_seed(self, omega_a, n_atoms, x, parity):
         p = ModelParams.from_ratio(omega_a, x, n_atoms)
         res = converge_ground(p, parity, tol=1e-8)
-        assert [lam for lam, _ in res.history] == [initial_lambda(p)]
+        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
         _assert_settled(res, p, parity, 1, 1e-8)
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 
@@ -412,7 +444,6 @@ class TestClosedFormSizing:
         p = ModelParams.from_ratio(omega_a, 1.0, n_atoms)
         res = converge_ground(p, "odd", tol=1e-8)
         assert res.path == "variational shift-invert"
-        assert res.attempts == []
         assert 1.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
 
     def test_arpack_stop_matched_to_the_residual_contract(self, monkeypatch):
