@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .compare import (
+    CLOSED_FORM_TOL,
     FIGURE_TITLES,
+    PHYSICS_TOL,
+    distribution_cells,
     fidelity_scan,
     figure_data,
     spectrum_dataset,
@@ -25,63 +27,8 @@ from .compare import (
 from .dataset import Dataset
 from .errors import ConvergenceError, DickeLabError, ProjectionAnnihilationError
 from .observables import ObservableSet, eigen_observables
-from .sas import (
-    coherent_observables,
-    joint_distribution_sas,
-    marginal_excited,
-    marginal_photon,
-    sas_observables,
-)
+from .sas import coherent_observables, sas_observables
 from .solver import DEFAULT_LAMBDA_CAP, converge_ground
-
-
-@dataclass
-class RunConfig:
-    command: str
-    omega_a: float
-    n_atoms: int
-    gamma: float | None
-    gamma_min: float | None
-    gamma_max: float | None
-    steps: int | None
-    parity: str
-    tol: float
-    lambda_max_cap: int
-    fmt: str
-    out: str | None
-    figure_id: int | None = None
-
-    def validate(self) -> None:
-        if self.n_atoms < 1:
-            raise UsageError("--n-atoms must be >= 1")
-        if not self.omega_a > 0:
-            raise UsageError("--omega-a must be > 0")
-        if self.figure_id is not None and self.figure_id not in FIGURE_TITLES:
-            raise UsageError(f"unknown figure id {self.figure_id}; valid ids are 1..9")
-        if self.tol <= 0:
-            raise UsageError("--tol must be > 0")
-        if self.lambda_max_cap < 2:
-            raise UsageError("--lambda-max-cap must be >= 2")
-        has_range = any(v is not None for v in (self.gamma_min, self.gamma_max, self.steps))
-        if self.gamma is not None and has_range:
-            raise UsageError("use either --gamma or --gamma-min/--gamma-max/--steps")
-        if has_range:
-            if None in (self.gamma_min, self.gamma_max, self.steps):
-                raise UsageError("--gamma-min, --gamma-max and --steps go together")
-            if self.steps < 2:
-                raise UsageError("--steps must be >= 2 for a gamma range")
-            if self.gamma_max < self.gamma_min:
-                raise UsageError("--gamma-max must be >= --gamma-min")
-
-    def gammas(self) -> np.ndarray:
-        if self.gamma is not None:
-            return np.array([self.gamma])
-        if self.gamma_min is not None:
-            return np.linspace(self.gamma_min, self.gamma_max, self.steps)
-        raise UsageError("specify --gamma or a --gamma-min/--gamma-max/--steps range")
-
-    def parities(self) -> list[str]:
-        return ["even", "odd"] if self.parity == "both" else [self.parity]
 
 
 class UsageError(Exception):
@@ -102,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--omega-a", type=float, default=1.0,
                         help="atomic frequency in field units (default 1.0)")
-        sp.add_argument("--n-atoms", type=int, default=None, help="atom count")
+        sp.add_argument("--n-atoms", type=int, default=10, help="atom count")
         sp.add_argument("--gamma", type=float, default=None, help="single coupling value")
         sp.add_argument("--gamma-min", type=float, default=None)
         sp.add_argument("--gamma-max", type=float, default=None)
@@ -124,56 +71,72 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--kind", choices=["joint", "photon", "atom"], default="joint")
     p_fig = sub.add_parser("figures", help="plot-ready datasets for the reference figures")
     add_common(p_fig)
+    p_fig.set_defaults(n_atoms=None)  # each figure has its own atom counts
     p_fig.add_argument("--id", type=int, required=True, dest="figure_id",
                        help="figure id, 1..9")
     add_common(sub.add_parser("verify", help="closed-form table verification report"))
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        omega_a=args.omega_a,
-        n_atoms=args.n_atoms if args.n_atoms is not None else 10,
-        gamma=args.gamma,
-        gamma_min=args.gamma_min,
-        gamma_max=args.gamma_max,
-        steps=args.steps,
-        parity=args.parity,
-        tol=args.tol,
-        lambda_max_cap=args.lambda_max_cap,
-        fmt=args.fmt,
-        out=args.out,
-        figure_id=getattr(args, "figure_id", None),
-    )
-    cfg.validate()
-    return cfg
+def _validate(args) -> None:
+    if args.n_atoms is not None and args.n_atoms < 1:
+        raise UsageError("--n-atoms must be >= 1")
+    if not args.omega_a > 0:
+        raise UsageError("--omega-a must be > 0")
+    if args.command == "figures" and args.figure_id not in FIGURE_TITLES:
+        raise UsageError(f"unknown figure id {args.figure_id}; valid ids are 1..9")
+    if args.tol <= 0:
+        raise UsageError("--tol must be > 0")
+    if args.lambda_max_cap < 2:
+        raise UsageError("--lambda-max-cap must be >= 2")
+    has_range = any(v is not None for v in (args.gamma_min, args.gamma_max, args.steps))
+    if args.gamma is not None and has_range:
+        raise UsageError("use either --gamma or --gamma-min/--gamma-max/--steps")
+    if has_range:
+        if None in (args.gamma_min, args.gamma_max, args.steps):
+            raise UsageError("--gamma-min, --gamma-max and --steps go together")
+        if args.steps < 2:
+            raise UsageError("--steps must be >= 2 for a gamma range")
+        if args.gamma_max < args.gamma_min:
+            raise UsageError("--gamma-max must be >= --gamma-min")
 
 
-def _base_meta(cfg: RunConfig) -> dict:
+def _gammas(args) -> np.ndarray:
+    if args.gamma is not None:
+        return np.array([args.gamma])
+    if args.gamma_min is not None:
+        return np.linspace(args.gamma_min, args.gamma_max, args.steps)
+    raise UsageError("specify --gamma or a --gamma-min/--gamma-max/--steps range")
+
+
+def _parities(args) -> list[str]:
+    return ["even", "odd"] if args.parity == "both" else [args.parity]
+
+
+def _base_meta(args) -> dict:
     return {
-        "command": cfg.command,
+        "command": args.command,
         "version": __version__,
-        "omega_a": cfg.omega_a,
-        "n_atoms": cfg.n_atoms,
-        "tol": cfg.tol,
-        "lambda_max_cap": cfg.lambda_max_cap,
+        "omega_a": args.omega_a,
+        "n_atoms": args.n_atoms,
+        "tol": args.tol,
+        "lambda_max_cap": args.lambda_max_cap,
     }
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> Dataset:
-    ds = spectrum_dataset(cfg.omega_a, cfg.n_atoms, cfg.gammas(),
-                          tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
-    ds.meta = {**_base_meta(cfg), **ds.meta}
+def _cmd_spectrum(args) -> Dataset:
+    ds = spectrum_dataset(args.omega_a, args.n_atoms, _gammas(args),
+                          tol=args.tol, lambda_cap=args.lambda_max_cap)
+    ds.meta = {**_base_meta(args), **ds.meta}
     return ds
 
 
-def _cmd_observables(cfg: RunConfig, args) -> Dataset:
+def _cmd_observables(args) -> Dataset:
     names = ObservableSet.names()
 
     def point(params, parity):
         if args.source == "exact":
-            res = converge_ground(params, parity, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+            res = converge_ground(params, parity, tol=args.tol, lambda_cap=args.lambda_max_cap)
             return eigen_observables(res.eigenvectors[:, 0], res.basis), res.lambda_max
         if args.source == "sas":
             return sas_observables(params, parity), None
@@ -181,68 +144,58 @@ def _cmd_observables(cfg: RunConfig, args) -> Dataset:
 
     rows = []
     for params, parity, value, flag in sweep(
-            cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(), point,
+            args.omega_a, args.n_atoms, _gammas(args), _parities(args), point,
             (ValueError, ProjectionAnnihilationError, ConvergenceError)):
         obs, lam_max = value or (None, None)
         values = [None if obs is None else getattr(obs, k) for k in names]
         rows.append((params.gamma, parity, *values, lam_max, flag))
-    meta = {**_base_meta(cfg), "source": args.source}
+    meta = {**_base_meta(args), "source": args.source}
     return Dataset(meta, ["gamma", "parity", *names, "lambda_max", "flag"], rows)
 
 
-def _cmd_fidelity(cfg: RunConfig, args) -> Dataset:
-    rows = fidelity_scan(cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(),
-                         tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
-    return Dataset(_base_meta(cfg), ["gamma", "parity", "fidelity", "lambda_max", "flag"], rows)
+def _cmd_fidelity(args) -> Dataset:
+    rows = fidelity_scan(args.omega_a, args.n_atoms, _gammas(args), _parities(args),
+                         tol=args.tol, lambda_cap=args.lambda_max_cap)
+    return Dataset(_base_meta(args), ["gamma", "parity", "fidelity", "lambda_max", "flag"], rows)
 
 
-def _cmd_distributions(cfg: RunConfig, args) -> Dataset:
-    def point(params, parity):  # (nu, n_e, p) cells
-        if args.kind == "joint":
-            m = joint_distribution_sas(params, parity).matrix.tolist()
-            return [(nu, ne, p) for nu, row in enumerate(m) for ne, p in enumerate(row)]
-        if args.kind == "photon":
-            return [(k, None, p) for k, p in enumerate(marginal_photon(params, parity).tolist())]
-        return [(None, k, p) for k, p in enumerate(marginal_excited(params, parity).tolist())]
-
+def _cmd_distributions(args) -> Dataset:
+    point = functools.partial(distribution_cells, kind=args.kind)
     rows = [(params.gamma, parity, *cell, flag)
             for params, parity, cells, flag in sweep(
-                cfg.omega_a, cfg.n_atoms, cfg.gammas(), cfg.parities(), point,
+                args.omega_a, args.n_atoms, _gammas(args), _parities(args), point,
                 (ValueError, ProjectionAnnihilationError))
             for cell in cells or [(None, None, None)]]
     nu_max = 0
     if args.kind == "joint":
         nu_max = max((r[2] for r in rows if r[2] is not None), default=0)
-    meta = {**_base_meta(cfg), "kind": args.kind, "nu_max": nu_max}
+    meta = {**_base_meta(args), "kind": args.kind, "nu_max": nu_max}
     return Dataset(meta, ["gamma", "parity", "nu", "n_e", "p", "flag"], rows)
 
 
-def _cmd_figures(cfg: RunConfig, args) -> Dataset:
+def _cmd_figures(args) -> Dataset:
     gammas = None
-    if cfg.gamma is not None or cfg.gamma_min is not None:
-        gammas = cfg.gammas()
-    ds = figure_data(args.figure_id, omega_a=cfg.omega_a, n_atoms=args.n_atoms,
-                     gammas=gammas, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+    if args.gamma is not None or args.gamma_min is not None:
+        gammas = _gammas(args)
+    ds = figure_data(args.figure_id, omega_a=args.omega_a, n_atoms=args.n_atoms,
+                     gammas=gammas, tol=args.tol, lambda_cap=args.lambda_max_cap)
     ds.meta = {"command": "figures", "version": __version__, **ds.meta}
     return ds
 
 
-def _cmd_verify(cfg: RunConfig, args) -> Dataset:
+def _cmd_verify(args) -> Dataset:
     def point(params, parity):  # one report covers both parities
-        return verify_table(params, tol=cfg.tol, lambda_cap=cfg.lambda_max_cap)
+        return verify_table(params, tol=args.tol, lambda_cap=args.lambda_max_cap)
 
-    reports = [report for _, _, report, _ in
-               sweep(cfg.omega_a, cfg.n_atoms, cfg.gammas(), ["both"], point)]
     rows = []
-    for report in reports:
+    for _, _, report, _ in sweep(args.omega_a, args.n_atoms, _gammas(args), ["both"], point):
         for r in report.rows:
             status = "flagged" if r.flag_closed_form else "ok"
             if r.flag_exact:
                 status += "+exact-deviation"
             rows.append((report.params.gamma, r.name, r.parity, r.closed_form, r.oracle,
                          r.exact, r.dev_closed_oracle, r.dev_oracle_exact, status))
-    meta = {**_base_meta(cfg), "closed_form_tol": reports[0].closed_form_tol,
-            "physics_tol": reports[0].physics_tol}
+    meta = {**_base_meta(args), "closed_form_tol": CLOSED_FORM_TOL, "physics_tol": PHYSICS_TOL}
     return Dataset(meta, ["gamma", "observable", "parity", "closed_form", "oracle",
                           "exact", "dev_closed_oracle", "dev_oracle_exact", "status"], rows)
 
@@ -264,20 +217,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_args(args)
-        dataset = _HANDLERS[args.command](cfg, args)
+        _validate(args)
+        dataset = _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, DickeLabError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-    text = dataset.render(cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    text = dataset.render(args.fmt)
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

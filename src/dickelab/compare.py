@@ -131,6 +131,10 @@ def fidelity_curve(omega_a: float, n_atoms: int, parity: str,
 
 # -- closed-form table verification ---------------------------------------------
 
+CLOSED_FORM_TOL = 1e-8  # closed form vs oracle: the same state, so rounding only
+PHYSICS_TOL = 0.05      # oracle vs exact ground state, away from the separatrix
+
+
 def _deviation(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) if scale < 1e-12 else abs(a - b) / scale
@@ -153,8 +157,6 @@ class TableRow:
 @dataclass
 class VerificationReport:
     params: ModelParams
-    closed_form_tol: float
-    physics_tol: float
     rows: list
 
     def row(self, name: str, parity: str) -> TableRow:
@@ -164,12 +166,11 @@ class VerificationReport:
         return [r for r in self.rows if r.flag_closed_form]
 
 
-def verify_table(params: ModelParams, closed_form_tol: float = 1e-8,
-                 physics_tol: float = 0.05, tol: float = 1e-8,
+def verify_table(params: ModelParams, tol: float = 1e-8,
                  lambda_cap: int = DEFAULT_LAMBDA_CAP) -> VerificationReport:
     """Three-way check of every tabulated row, per parity: the closed-form
-    entry against the constructed-state oracle (flag above closed_form_tol)
-    and the oracle against exact diagonalization (flag above physics_tol,
+    entry against the constructed-state oracle (flag above CLOSED_FORM_TOL)
+    and the oracle against exact diagonalization (flag above PHYSICS_TOL,
     meaningful away from the separatrix: |gamma - gamma_c| >= 0.25 gamma_c).
     """
     away = abs(abs(params.gamma) - params.gamma_c) >= 0.25 * params.gamma_c
@@ -192,11 +193,11 @@ def verify_table(params: ModelParams, closed_form_tol: float = 1e-8,
                 exact=e,
                 dev_closed_oracle=d_po,
                 dev_oracle_exact=d_oe,
-                flag_closed_form=d_po > closed_form_tol,
-                flag_exact=away and d_oe > physics_tol,
+                flag_closed_form=d_po > CLOSED_FORM_TOL,
+                flag_exact=away and d_oe > PHYSICS_TOL,
                 exact_comparable=away,
             ))
-    return VerificationReport(params, closed_form_tol, physics_tol, rows)
+    return VerificationReport(params, rows)
 
 
 # -- smoothness audit across the transition --------------------------------------
@@ -245,6 +246,22 @@ def smoothness_audit(omega_a: float = 1.0, n_atoms: int = 20,
     bounded = bool(np.all(n_phot <= bound))
     ok2 = _second_diff_bounded(n_phot) and _second_diff_bounded(n_exc)
     return SmoothnessAudit(gammas, n_phot, n_exc, bound, finite, bounded, ok2)
+
+
+# -- distributions -------------------------------------------------------------------
+
+def distribution_cells(params: ModelParams, parity: str, kind: str) -> list[tuple]:
+    """The projected state's distribution as (nu, n_e, p) cells: the joint
+    P(nu, n_e) row by row (kind "joint"), or the photon ("photon", n_e None)
+    or excited-atom ("atom", nu None) marginal."""
+    if kind == "joint":
+        m = joint_distribution_sas(params, parity).matrix.tolist()
+        return [(nu, ne, p) for nu, row in enumerate(m) for ne, p in enumerate(row)]
+    if kind == "photon":
+        return [(k, None, p) for k, p in enumerate(marginal_photon(params, parity).tolist())]
+    if kind == "atom":
+        return [(None, k, p) for k, p in enumerate(marginal_excited(params, parity).tolist())]
+    raise ValueError(f"kind must be 'joint', 'photon' or 'atom', got {kind!r}")
 
 
 # -- figure datasets ---------------------------------------------------------------
@@ -386,13 +403,10 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
-    even = joint_distribution_sas(p, "even")
-    odd = joint_distribution_sas(p, "odd", nu_max=even.nu_max)
-    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": even.nu_max})
-    rows = []
-    for nu in range(even.matrix.shape[0]):
-        for ne in range(n + 1):
-            rows.append((nu, ne, even.matrix[nu, ne], odd.matrix[nu, ne]))
+    even = distribution_cells(p, "even", "joint")
+    odd = distribution_cells(p, "odd", "joint")
+    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": even[-1][0]})  # last cell (nu_max, N)
+    rows = [(nu, ne, p_even, p_odd) for (nu, ne, p_even), (_, _, p_odd) in zip(even, odd)]
     return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], rows)
 
 
@@ -400,22 +414,15 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     ns = [n_atoms] if n_atoms else [10, 20, 40, 50]
     if gammas is None:
         gammas = np.arange(0.05, 1.2000001, 0.025)
-    gammas = np.asarray(list(gammas), dtype=float)
+    gammas = [float(g) for g in gammas]
     meta.update({"n_atoms": ns})
-    columns = ["gamma"]
-    series = []
+    columns = ["gamma"] + [f"fid_{parity}_N{n}" for n in ns for parity in ("even", "odd")]
+    series = []  # per N, the (even, odd) fidelities of each gamma
     for n in ns:
-        for parity in ("even", "odd"):
-            columns.append(f"fid_{parity}_N{n}")
-            series.append(fidelity_curve(omega_a, n, parity, gammas, tol=tol,
-                                         lambda_cap=lambda_cap))
-    rows = []
-    for i, gamma in enumerate(gammas):
-        row = [float(gamma)]
-        for curve in series:
-            v = curve.values[i]
-            row.append(None if math.isnan(v) else float(v))
-        rows.append(tuple(row))
+        scan = fidelity_scan(omega_a, n, gammas, ("even", "odd"), tol, lambda_cap)
+        series.append([(even[2], odd[2]) for even, odd in zip(scan[0::2], scan[1::2])])
+    rows = [(gamma, *(f for pair in pairs for f in pair))
+            for gamma, *pairs in zip(gammas, *series)]
     return Dataset(meta, columns, rows)
 
 
@@ -426,14 +433,10 @@ def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     rows = []
     for gamma in gamma_list:
         p = ModelParams(omega_a, gamma, n)
-        ph_e = marginal_photon(p, "even")
-        ph_o = marginal_photon(p, "odd")
-        for k in range(ph_e.size):
-            rows.append(("photon", gamma, k, ph_e[k], ph_o[k]))
-        at_e = marginal_excited(p, "even")
-        at_o = marginal_excited(p, "odd")
-        for k in range(at_e.size):
-            rows.append(("atom", gamma, k, at_e[k], at_o[k]))
+        for kind in ("photon", "atom"):
+            even = distribution_cells(p, "even", kind)
+            odd = distribution_cells(p, "odd", kind)
+            rows += [(kind, gamma, k, e[2], o[2]) for k, (e, o) in enumerate(zip(even, odd))]
     return Dataset(meta, ["kind", "gamma", "k", "p_even", "p_odd"], rows)
 
 

@@ -46,6 +46,12 @@ def photon_number_coherent(params: ModelParams) -> float:
     return params.n_atoms * params.gamma_c ** 2 * xa ** 2 * one_minus_x4(xa)
 
 
+def _photon_sign(params: ModelParams) -> float:
+    """-sgn(gamma): the projected-state coefficients go as its nu-th power on
+    the phi_c = 0 branch, where <q> has the sign of -gamma."""
+    return -math.copysign(1.0, params.gamma)
+
+
 def _sgn(parity: str) -> float:
     if parity == "even":
         return 1.0
@@ -65,7 +71,8 @@ def default_nu_max(params: ModelParams) -> int:
 def coherent_observables(params: ModelParams) -> ObservableSet:
     """Product-state expectation values at the minimizing critical point.
 
-    Sign convention: the phi_c = 0 branch, i.e. <q> < 0 and <Jx> > 0.
+    Sign convention: the phi_c = 0 branch, i.e. <Jx> > 0 and <q> has the
+    sign of -gamma, as does the correlation <Jx q>.
     """
     xa = _require_superradiant(params)
     n = params.n_atoms
@@ -75,7 +82,7 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
     jz = -0.5 * n * xa ** -2
     lam = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc ** 2 * xa ** 2 * omx4)
     return ObservableSet(
-        q=-math.sqrt(2.0 * n) * gc * xa * math.sqrt(omx4),
+        q=-math.sqrt(2.0 * n) * gc * params.x * math.sqrt(omx4),
         p=0.0,
         jx=0.5 * n * math.sqrt(omx4),
         jy=0.0,
@@ -90,7 +97,7 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
         var_n_photons=mu,
         var_lam=0.5 * n * (0.5 + 2.0 * gc ** 2 * xa ** 2) * omx4,
         jz_n_photons=jz * mu,
-        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * xa * omx4,
+        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * params.x * omx4,
     )
 
 
@@ -124,7 +131,7 @@ def _sas_odd_limits(params: ModelParams) -> ObservableSet:
         var_n_photons=var_n,
         var_lam=var_n + var_jz + 2.0 * (jz_n - n_phot * jz),
         jz_n_photons=jz_n,
-        jx_q=-math.sqrt(n ** 3 / 2.0) * params.gamma_c * kappa,
+        jx_q=-math.copysign(math.sqrt(n ** 3 / 2.0) * params.gamma_c * kappa, params.x),
     )
 
 
@@ -167,7 +174,7 @@ def sas_observables(params: ModelParams, parity: str) -> ObservableSet:
         var_n_photons=var_n,
         var_lam=var_n + var_jz + 2.0 * (jz_n - n_phot * jz),
         jz_n_photons=jz_n,
-        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * xa * omx4 / denom,
+        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * params.x * omx4 / denom,
     )
 
 
@@ -181,7 +188,7 @@ TABLE_ROW_NAMES = [
 
 
 def table_closed_forms_sas(params: ModelParams, parity: str) -> dict[str, float]:
-    """The symmetry-adapted column exactly as tabulated (x > 1)."""
+    """The symmetry-adapted column exactly as tabulated (|x| > 1)."""
     sgn = _sgn(parity)
     xa = _require_superradiant(params, strict=True)
     n = params.n_atoms
@@ -212,12 +219,12 @@ def table_closed_forms_sas(params: ModelParams, parity: str) -> dict[str, float]
             n * gc2 * xa ** -6 * (1.0 - x4) * swap ** 2
             + omx4 * (n * gc2 * xa ** 2 * omx4 + swap)),
         "jz_n_photons": -n * gc2 * x4 * omx4 * (xa ** -4 - sgn * f) / denom,
-        "jx_q": -math.sqrt(n ** 3 / 2.0) * params.gamma_c * xa * omx4 / denom,
+        "jx_q": -math.sqrt(n ** 3 / 2.0) * params.gamma_c * params.x * omx4 / denom,
     }
 
 
 def table_closed_forms_coherent(params: ModelParams) -> dict[str, float]:
-    """The coherent column as tabulated (x >= 1): the faithful forms, except
+    """The coherent column as tabulated (|x| >= 1): the faithful forms, except
     that jz_n_photons is tabulated as -N gamma_c^2 (1 - x^-4), low by j."""
     obs = coherent_observables(params)
     table = {name: getattr(obs, name) for name in TABLE_ROW_NAMES}
@@ -233,7 +240,7 @@ class SASStateVector:
 
     ``coeffs`` is unit-norm after truncation at nu <= nu_max;
     ``norm_defect`` records the probability mass dropped by the cutoff.
-    Signs follow the phi_c = 0 critical branch, c(nu, n_e) ~ (-1)**nu.
+    Signs follow the phi_c = 0 critical branch, c(nu, n_e) ~ (-sgn gamma)**nu.
     """
 
     params: ModelParams
@@ -290,7 +297,7 @@ def build_sas_state(params: ModelParams, parity: str, nu_max: int | None = None)
                          if parity == "even" else math.log(-math.expm1(log_f))))
     allowed = (lam % 2 == 0) if parity == "even" else (lam % 2 == 1)
     coeffs = np.where(allowed, np.exp(half + log_norm), 0.0)
-    coeffs *= (-1.0) ** np.arange(nu_max + 1)[:, None]
+    coeffs *= _photon_sign(params) ** np.arange(nu_max + 1)[:, None]
     norm_sq = float(np.sum(coeffs * coeffs))
     defect = 1.0 - norm_sq
     if defect > 1e-8:
@@ -319,7 +326,7 @@ def sas_coefficients_at(params: ModelParams, nu: np.ndarray, ne: np.ndarray) -> 
     nu = np.asarray(nu, dtype=float)
     half = _log_amplitude(params, nu, np.asarray(ne, dtype=float))
     half -= half.max()  # normalization removes the shift
-    coeffs = (-1.0) ** nu * np.exp(half)
+    coeffs = _photon_sign(params) ** nu * np.exp(half)
     return coeffs / np.linalg.norm(coeffs)
 
 

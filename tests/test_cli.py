@@ -190,6 +190,60 @@ class TestVerify:
         assert all(r["status"] == "ok" for r in jz_rows)
 
 
+class TestNegativeCoupling:
+    def test_verify_statuses_even_in_gamma(self, capsys):
+        tables = {}
+        for gamma in ("1", "-1"):
+            code, out, _ = run_cli(capsys, "verify", "--n-atoms", "10", "--gamma", gamma)
+            assert code == 0
+            tables[gamma] = _table(out)
+        plus, minus = tables["1"], tables["-1"]
+        assert [(r["observable"], r["parity"], r["status"]) for r in minus] == \
+            [(r["observable"], r["parity"], r["status"]) for r in plus]
+        assert all("exact-deviation" not in r["status"] for r in minus)
+
+
+class TestCommandsMatchFigures:
+    """Figures 7-9 and the distributions/fidelity commands print the same numbers."""
+
+    @pytest.mark.parametrize("n", ["6", "10"])
+    def test_figure_7_is_the_joint_distribution(self, capsys, n):
+        _, fig, _ = run_cli(capsys, "figures", "--id", "7", "--n-atoms", n)
+        _, dist, _ = run_cli(capsys, "distributions", "--kind", "joint", "--n-atoms", n,
+                             "--gamma", "0.55")
+        fig, dist = _table(fig), _table(dist)
+        for parity in ("even", "odd"):
+            cells = [(r["nu"], r["n_e"], r["p"]) for r in dist if r["parity"] == parity]
+            assert cells == [(r["nu"], r["n_e"], r[f"p_{parity}"]) for r in fig]
+
+    @pytest.mark.parametrize("n", ["6", "10"])
+    def test_figure_9_is_the_marginals(self, capsys, n):
+        _, fig, _ = run_cli(capsys, "figures", "--id", "9", "--n-atoms", n)
+        fig = _table(fig)
+        for kind, index in (("photon", "nu"), ("atom", "n_e")):
+            _, dist, _ = run_cli(capsys, "distributions", "--kind", kind, "--n-atoms", n,
+                                 "--gamma-min", "0.55", "--gamma-max", "1.0", "--steps", "2")
+            dist = _table(dist)
+            for parity in ("even", "odd"):
+                cells = [(float(r["gamma"]), r[index], r["p"])
+                         for r in dist if r["parity"] == parity]
+                assert cells == [(float(r["gamma"]), r["k"], r[f"p_{parity}"])
+                                 for r in fig if r["kind"] == kind]
+
+    @pytest.mark.parametrize("n,cap", [("6", "400"), ("10", "400"), ("10", "30")])
+    def test_figure_8_is_the_fidelity(self, capsys, n, cap):
+        grid = ("--n-atoms", n, "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "5",
+                "--lambda-max-cap", cap)
+        _, fig, _ = run_cli(capsys, "figures", "--id", "8", *grid)
+        _, fid, _ = run_cli(capsys, "fidelity", *grid)
+        fig, fid = _table(fig), _table(fid)
+        got = [(float(row["gamma"]), parity, row[f"fid_{parity}_N{n}"])
+               for row in fig for parity in ("even", "odd")]
+        assert got == [(float(r["gamma"]), r["parity"], r["fidelity"]) for r in fid]
+        if cap == "30":  # x = 2 does not converge below the cap: a null cell
+            assert got[-1] == (1.0, "odd", "") and fid[-1]["flag"] == "ConvergenceError"
+
+
 class TestOutput:
     def test_json_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "data.json"
@@ -231,6 +285,15 @@ class TestOutput:
         assert "unrecognized arguments: --bogus" in answers[0][2]
         assert answers[1][1] == f"{__version__}\n"
         assert _build_parser() is _build_parser()
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "spectrum", "--gamma", "1", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --out {target}")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_csv_metadata_header(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--gamma", "0.3", "--n-atoms", "2")

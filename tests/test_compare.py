@@ -252,3 +252,25 @@ class TestDataset:
         text = Dataset({"m": 2}, ["x", "parity", "k"], rows).to_json()
         assert text == Dataset({"m": 2}, ["x", "parity", "k"], [list(r) for r in rows]).to_json()
         assert Dataset.from_json(text).rows == rows
+
+
+class TestNegativeCoupling:
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("x", [0.6, 1.0, 1.5, 2.0])
+    def test_fidelity_even_in_gamma(self, parity, x):
+        plus, minus = (ModelParams.from_ratio(1.0, s * x, 10) for s in (1.0, -1.0))
+        if parity == "odd" and x == 1.0:  # the odd trial state is annihilated there
+            for p in (plus, minus):
+                with pytest.raises(ProjectionAnnihilationError):
+                    fidelity(p, parity)
+            return
+        assert fidelity(minus, parity) == pytest.approx(fidelity(plus, parity), abs=1e-12)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_start_vector_follows_the_sign(self, parity):
+        # gamma -> -gamma maps the trial state to (-1)**nu times itself
+        plus, minus = (ModelParams.from_ratio(1.0, s * 2.0, 10) for s in (1.0, -1.0))
+        basis = build_sector_basis(plus, 60, parity)
+        v_plus = variational_vector(plus, parity, basis)
+        v_minus = variational_vector(minus, parity, basis)
+        np.testing.assert_array_equal(v_minus, v_plus * (-1.0) ** basis.nu)

@@ -6,8 +6,9 @@ import pytest
 import brute
 from dickelab.errors import ProjectionAnnihilationError, TruncationError
 from dickelab.model import ModelParams
-from dickelab.observables import ObservableSet
+from dickelab.observables import ObservableSet, eigen_observables
 from dickelab.sas import (
+    TABLE_ROW_NAMES,
     build_sas_state,
     coherent_observables,
     default_nu_max,
@@ -22,7 +23,8 @@ from dickelab.sas import (
     sas_observables,
     state_observables,
 )
-from dickelab.surface import f_function, normal_odd_state
+from dickelab.solver import converge_ground
+from dickelab.surface import critical_points, f_function, normal_odd_state
 
 CLOSED_FORM_ROWS_MATCHING_ORACLE = [
     "q", "p", "jx", "jy", "jz", "n_photons",
@@ -344,3 +346,62 @@ class TestDefaultNuMax:
         p = ModelParams.from_ratio(1.0, 2.0, 10)
         mu = photon_number_coherent(p)
         assert default_nu_max(p) >= mu + 20 * math.sqrt(mu) + 50 - 1
+
+
+# gamma -> -gamma is the photon parity a -> -a: it flips <q> and <Jx q> and
+# leaves every other observable of the ground states unchanged
+ODD_IN_GAMMA = {"q", "jx_q"}
+
+
+def _assert_mirrored(plus, minus, abs_tol):
+    for name in ObservableSet.names():
+        a, b = getattr(plus, name), getattr(minus, name)
+        want = -a if name in ODD_IN_GAMMA else a
+        assert b == pytest.approx(want, rel=1e-9, abs=abs_tol), name
+
+
+class TestNegativeCoupling:
+    @pytest.mark.parametrize("omega_a", [1.0, 4.0])
+    @pytest.mark.parametrize("x", [-2.0, -1.5, 1.5, 2.0])
+    def test_coherent_q_on_the_phi_zero_branch(self, omega_a, x):
+        p = ModelParams.from_ratio(omega_a, x, 10)
+        q_c = next(c.point.q for c in critical_points(p) if c.branch_phi == 0.0)
+        q = coherent_observables(p).q
+        assert q == pytest.approx(q_c, rel=1e-12)
+        assert math.copysign(1.0, q) == -math.copysign(1.0, x)
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+    def test_coherent_mirrored(self, x):
+        plus = coherent_observables(ModelParams.from_ratio(1.0, x, 10))
+        minus = coherent_observables(ModelParams.from_ratio(1.0, -x, 10))
+        _assert_mirrored(plus, minus, 1e-12)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+    def test_sas_closed_form_mirrored(self, parity, x):
+        plus = sas_observables(ModelParams.from_ratio(1.0, x, 10), parity)
+        minus = sas_observables(ModelParams.from_ratio(1.0, -x, 10), parity)
+        _assert_mirrored(plus, minus, 1e-12)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("x", [1.5, 2.0])
+    def test_oracle_and_table_mirrored(self, parity, x):
+        plus, minus = (ModelParams.from_ratio(1.0, s * x, 10) for s in (1.0, -1.0))
+        _assert_mirrored(state_observables(build_sas_state(plus, parity)),
+                         state_observables(build_sas_state(minus, parity)), 1e-12)
+        # the state itself is the mirror image: c(nu, n_e) -> (-1)**nu c(nu, n_e)
+        a, b = build_sas_state(plus, parity).coeffs, build_sas_state(minus, parity).coeffs
+        np.testing.assert_array_equal(b, a * (-1.0) ** np.arange(a.shape[0])[:, None])
+        table_plus, table_minus = (table_closed_forms_sas(p, parity) for p in (plus, minus))
+        for name in TABLE_ROW_NAMES:
+            want = -table_plus[name] if name in ODD_IN_GAMMA else table_plus[name]
+            assert table_minus[name] == pytest.approx(want, rel=1e-12, abs=1e-12), name
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
+    def test_exact_mirrored(self, parity, x):
+        def ground(sign):
+            res = converge_ground(ModelParams.from_ratio(1.0, sign * x, 10), parity)
+            return eigen_observables(res.eigenvectors[:, 0], res.basis)
+
+        _assert_mirrored(ground(1.0), ground(-1.0), 1e-9)
