@@ -79,6 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
+    for name in ("omega_a", "gamma", "gamma_min", "gamma_max", "tol"):
+        value = getattr(args, name)
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.n_atoms is not None and args.n_atoms < 1:
         raise UsageError("--n-atoms must be >= 1")
     if not args.omega_a > 0:

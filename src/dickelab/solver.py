@@ -4,10 +4,11 @@ Each sector has one solver.  Sectors of up to DENSE_CUTOFF states use dense
 LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
 supplies: (1 + omega_a)/2 below its closed-form variational energy, started
 from the variational state; the parity-free basis, which has no variational
-state, uses one below the Gershgorin bound.  A shift is accepted only when
-the symmetric LDL^T factorization of H - sigma I pivots on the diagonal and
-has no negative pivot: by Sylvester's law of inertia every eigenvalue then
-lies above it.  ARPACK stops as soon as its residual bound meets the
+state, uses one below the Gershgorin bound.  In nu-major order H is banded,
+and LAPACK's banded Cholesky of H - sigma I both proves the shift and
+applies (H - sigma I)^-1 for ARPACK: the factor exists exactly when
+H - sigma I is positive definite, that is when every eigenvalue lies above
+sigma.  ARPACK stops as soon as its residual bound meets the
 contract ||H v - E v|| <= 1e-8, and every result is residual-checked
 against it.  A rejected shift, a solver error or a missed residual raises
 ConvergenceError; nothing is retried.
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import (ModelParams, OperatorMatrix, SectorBasis, _spin_plus_amp, build_hamiltonian,
@@ -33,8 +34,8 @@ from .model import (ModelParams, OperatorMatrix, SectorBasis, _spin_plus_amp, bu
 from .sas import sas_coefficients_at
 from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 
-# dense eigh and the verified sparse solve both take ~1.6 ms near 150-170
-# states, and 2.4 against 1.8 ms at 200 (single-threaded BLAS, 2-core host);
+# dense eigh and the verified sparse solve both take ~1.1 ms near 140
+# states, and 2.1 against 1.0 ms at 200 (single-threaded BLAS, 2-core host);
 # the cutoff stays at 200 because moving it changes which path solves a
 # sector, which needs its own benchmark
 DENSE_CUTOFF = 200
@@ -146,47 +147,51 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _diagonal_positions(H) -> np.ndarray:
-    """Where the diagonal sits in H.data; build_hamiltonian stores it in every row."""
-    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
-    return np.flatnonzero(H.indices == rows)
-
-
 def _abs_row_sums(H, data: np.ndarray) -> np.ndarray:
     """Row sums of |data| laid out on H's sparsity pattern (no row is empty)."""
     return np.add.reduceat(np.abs(data), H.indptr[:-1])
 
 
 def _gershgorin_lower(H) -> float:
-    d = H.data[_diagonal_positions(H)]
+    d = H.diagonal()
     radius = _abs_row_sums(H, H.data) - np.abs(d)
     return float((d - radius).min())
 
 
-def _verified_shift_invert(H, k: int, sigma: float, start: np.ndarray):
+def _verified_shift_invert(H, basis: SectorBasis, k: int, sigma: float):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(H.indptr))
     data = H.data.copy()
-    data[_diagonal_positions(H)] -= sigma
-    # H is symmetric, so the CSR arrays of H - sigma I are also its CSC arrays
-    shifted = sp.csc_matrix((data, H.indices, H.indptr), shape=H.shape)
-    # relax=panel_size=1: at ~40 factor entries per row supernodes do not
-    # pay; factor plus solves ran ~25% faster on sectors of 1.7k-14k states
-    lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   relax=1, panel_size=1, options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("factorization pivoted off the diagonal")
-    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    if below:
-        raise RuntimeError(f"{below} eigenvalue{'s' if below > 1 else ''} "
-                           f"below shift {sigma:.6g}")
-    opinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
+    data[H.indices == rows] -= sigma  # build_hamiltonian stores the diagonal in every row
+    # H couples nu to nu +- 1 only, so in nu-major order H - sigma I is banded,
+    # about one nu column of the sector wide; LAPACK's lower band storage
+    # holds A[i, j] at band[i - j, j]
+    order = np.lexsort((basis.ne, basis.nu))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n)
+    rows, cols = pos[rows], pos[H.indices]
+    offset = rows - cols
+    lower = offset >= 0
+    band = np.zeros((offset.max() + 1, n), order="F")
+    band[offset[lower], cols[lower]] = data[lower]
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:  # the Cholesky factor exists exactly when H - sigma I is positive definite
+        raise RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
+                           f"{info} of {n} is not positive definite")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = dpbtrs(chol, b[order], lower=1, overwrite_b=1)[0]
+        return x
+
+    opinv = spla.LinearOperator((n, n), matvec=solve, dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
     # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
     # this tol meets RESIDUAL_TOL without iterating on to machine precision.
     # By symmetry the 1-norm, a largest column sum, is the largest row sum.
     tol = RESIDUAL_TOL / _abs_row_sums(H, data).max()
-    return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=start,
+    return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=_start_vector(basis),
                       ncv=min(n, 2 * k + 4), tol=tol)
 
 
@@ -208,8 +213,11 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
     sector.  Above it one _verified_shift_invert runs from _start_vector at
     the shift the sector supplies: shift_margin below its variational energy
     for a parity sector, one below the Gershgorin bound for the parity-free
-    basis.  A rejected shift, an ARPACK or SuperLU error or a residual above
-    RESIDUAL_TOL raises ConvergenceError.
+    basis.  The shift is accepted only when the Cholesky factorization of
+    H - sigma I succeeds, which proves it below every eigenvalue.  A rejected
+    shift (named with the leading minor that is not positive definite), an
+    ARPACK or LAPACK error or a residual above RESIDUAL_TOL raises
+    ConvergenceError.
     """
     dim = op.dimension
     if not 1 <= k <= dim:
@@ -229,8 +237,8 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
         if path == "dense":
             vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, k - 1))
         else:
-            vals, vecs = _verified_shift_invert(H, k, sigma, _start_vector(op.basis))
-    except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, SuperLU, rejected shift
+            vals, vecs = _verified_shift_invert(H, op.basis, k, sigma)
+    except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
     else:
         order = np.argsort(vals)

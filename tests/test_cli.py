@@ -295,6 +295,22 @@ class TestOutput:
         assert err.count("\n") == 1
         assert not target.exists()
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--gamma", ("fidelity", "--gamma", "inf")),
+        ("--gamma-max", ("fidelity", "--gamma-min", "0", "--gamma-max", "inf", "--steps", "3")),
+        ("--gamma-min", ("spectrum", "--gamma-min=-inf", "--gamma-max", "1", "--steps", "3")),
+        ("--gamma", ("observables", "--source", "sas", "--gamma", "nan")),
+        ("--tol", ("spectrum", "--gamma", "1", "--tol", "inf")),
+        ("--tol", ("spectrum", "--gamma", "1", "--tol", "nan")),
+        ("--omega-a", ("spectrum", "--gamma", "1", "--omega-a", "inf")),
+    ])
+    def test_non_finite_number_is_a_usage_error(self, capsys, flag, argv):
+        code, out, err = run_cli(capsys, *argv, "--n-atoms", "10")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be finite")
+        assert err.count("\n") == 1
+
     def test_csv_metadata_header(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--gamma", "0.3", "--n-atoms", "2")
         meta_lines = [l for l in out.split("\n") if l.startswith("# ")]

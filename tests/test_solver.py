@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import brute
 from dickelab import solver
@@ -215,19 +219,33 @@ class TestOneVerifiedSolve:
         p = ModelParams.from_ratio(1.0, 1.5, 20)
         basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], "even")
         op = build_hamiltonian(p, basis)
-        assert op.dimension > solver.DENSE_CUTOFF
+        n = op.dimension
+        assert n > solver.DENSE_CUTOFF
         _, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
         sigma = 0.5 * (e1 + e2)
         _shift_at(monkeypatch, sigma)
         calls = _record_eigsh(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op, 1)
+        # the first leading minor of H - sigma I in nu-major order that is not
+        # positive definite; by interlacing the lowest eigenvalue of a leading
+        # minor falls as the minor grows, so bisect for it
+        order = np.lexsort((basis.ne, basis.nu))
+        shifted = (op.toarray() - sigma * np.eye(n))[np.ix_(order, order)]
+        lo, hi = 0, n  # the minor of order lo is positive definite, that of order hi is not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.linalg.eigvalsh(shifted[:mid, :mid])[0] > 0.0:
+                lo = mid
+            else:
+                hi = mid
         diag = err.value.diagnostics
-        assert diag["reason"] == f"2 eigenvalues below shift {sigma:.6g}"
+        assert diag["reason"] == (f"shift {sigma:.6g} is not below the spectrum: "
+                                  f"leading minor {hi} of {n} is not positive definite")
         assert diag["path"] == "variational shift-invert"
-        assert diag["dim"] == op.dimension
+        assert diag["dim"] == n
         assert diag["residuals"] is None
-        # the inertia proof comes before ARPACK, and nothing is retried
+        # the Cholesky proof comes before ARPACK, and nothing is retried
         assert calls == []
 
     # in the odd sector at N = 30 the lambda = 15 shell has a zero diagonal,
@@ -235,30 +253,42 @@ class TestOneVerifiedSolve:
     @pytest.mark.parametrize("x,parity", [(2.0, "even"), (0.98, "odd")])
     def test_factored_in_place_of_the_scipy_shift(self, monkeypatch, x, parity):
         p = ModelParams.from_ratio(1.0, x, 30)
-        op = build_hamiltonian(p, build_sector_basis(p, truncation_seed(p)["lambda_seed"], parity))
-        H = op.matrix
-        assert op.dimension > solver.DENSE_CUTOFF
+        basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], parity)
+        op = build_hamiltonian(p, basis)
+        H, n = op.matrix, op.dimension
+        assert n > solver.DENSE_CUTOFF
         assert (parity == "odd") == (0.0 in H.diagonal())
         before = [H.data.copy(), H.indices.copy(), H.indptr.copy()]
         factored = []
-        splu = solver.spla.splu
+        dpbtrf = solver.dpbtrf
 
-        def recording(A, **kwargs):
-            factored.append(A.copy())
-            return splu(A, **kwargs)
+        def recording(band, **kwargs):
+            factored.append((band.copy(), band.flags.f_contiguous, kwargs))
+            return dpbtrf(band, **kwargs)
 
-        monkeypatch.setattr(solver.spla, "splu", recording)
+        monkeypatch.setattr(solver, "dpbtrf", recording)
         calls = _record_eigsh(monkeypatch)
         res = lowest_eigenpairs(op, 1)
         assert res.path == "variational shift-invert"
         sigma = variational_energy(p, parity) - shift_margin(p)
-        want = (H - sigma * sp.identity(H.shape[0], format="csr")).tocsc()
-        assert len(factored) == 1 and factored[0].format == "csc"
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(factored[0], name), getattr(want, name))
-        norm1 = abs(want).sum(axis=0).max()
-        assert calls[0]["tol"] == RESIDUAL_TOL / norm1
-        # splu is handed H's own index arrays; H must come back untouched
+        # the lower band of H - sigma I in nu-major order, read off the dense matrix
+        order = np.lexsort((basis.ne, basis.nu))
+        shifted = (H - sigma * sp.identity(n, format="csr")).toarray()[np.ix_(order, order)]
+        rows, cols = np.nonzero(shifted)
+        want = np.zeros(((rows - cols).max() + 1, n))
+        for offset in range(want.shape[0]):
+            want[offset, :n - offset] = np.diagonal(shifted, -offset)
+        assert len(factored) == 1
+        band, in_place, kwargs = factored[0]
+        assert np.array_equal(band, want)
+        assert in_place and kwargs == {"lower": 1, "overwrite_ab": 1}
+        # a stored zero diagonal is shifted like every other
+        zero = np.flatnonzero(H.diagonal()[order] == 0.0)
+        assert (zero.size > 0) == (parity == "odd")
+        assert np.all(band[0, zero] == -sigma)
+        norm1 = np.abs(shifted).sum(axis=0).max()
+        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
+        # the shift works on a copy of H.data; H must come back untouched
         for got, kept in zip((H.data, H.indices, H.indptr), before):
             assert np.array_equal(got, kept)
 
@@ -403,6 +433,30 @@ class TestOneVerifiedSolve:
         assert res.converged and res.lambda_max <= solver.DEFAULT_LAMBDA_CAP
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 
+    # the README's range: at x = 2 both parities converge at the default cap
+    # up to N = 231, the widest band it factors (33k states); at N = 232 the
+    # odd sector's top shell leaks too much
+    @pytest.mark.parametrize("n_atoms,parity", [(231, "even"), (231, "odd"), (232, "odd")])
+    def test_default_cap_range_at_x_2(self, n_atoms, parity):
+        p = ModelParams.from_ratio(1.0, 2.0, n_atoms)
+        cap = solver.DEFAULT_LAMBDA_CAP
+        assert truncation_seed(p)["lambda_seed"] > cap
+        if n_atoms == 231:
+            res = converge_ground(p, parity)
+            assert res.converged and res.lambda_max == cap
+            assert res.path == "variational shift-invert"
+            assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
+            return
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, parity)
+        diag = err.value.diagnostics
+        assert diag["dim"] == err.value.best.basis.size > 33000
+        assert diag["path"] == "variational shift-invert"
+        assert diag["residuals"][0] <= RESIDUAL_TOL
+        energy = abs(err.value.best.eigenvalues[0])
+        assert solver.TRUNCATION_SAFETY * diag["truncation_estimate"][0] > 1e-8 * energy
+        assert [lam for lam, _ in diag["history"]] == [cap]
+
     def test_diagnostics_carry_the_seed(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
         seed = solver.truncation_seed(p)
@@ -419,6 +473,29 @@ class TestOneVerifiedSolve:
             converge_ground(p, "even")
         assert {key: err.value.diagnostics[key] for key in seed} == seed
         assert err.value.diagnostics["dim"] > solver.DENSE_CUTOFF
+
+
+class TestShiftProof:
+    """The Cholesky factorization proves a shift below the spectrum, or refuses it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(2, 12), lambda_max=st.integers(2, 20),
+           omega_a=st.floats(0.25, 9.0), gamma=st.floats(-2.0, 2.0),
+           parity=st.sampled_from(["even", "odd", None]),
+           below=st.floats(1e-6, 2.0), between=st.floats(0.01, 0.99))
+    def test_against_dense_eigenvalues(self, n_atoms, lambda_max, omega_a, gamma, parity,
+                                       below, between):
+        p = ModelParams(omega_a, gamma, n_atoms)
+        basis = build_sector_basis(p, lambda_max, parity)
+        H = build_hamiltonian(p, basis).matrix
+        e0, e1 = np.linalg.eigvalsh(
+            brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)[0])[:2]
+        vals, _ = solver._verified_shift_invert(H, basis, 1, e0 - below)
+        assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
+        if e1 - e0 > 1e-6:  # a shift inside a near-degenerate pair is below rounding
+            sigma = e0 + between * (e1 - e0)
+            with pytest.raises(RuntimeError, match=re.escape(f"shift {sigma:.6g} is not below")):
+                solver._verified_shift_invert(H, basis, 1, sigma)
 
 
 class TestClosedFormSizing:

@@ -14,11 +14,25 @@ bytes, so a refactor is checked by diffing the digests:
 
 --src points at the ``src`` directory whose ``dickelab`` is run (default:
 this checkout's).
+
+A change that moves the last digits of exact results is checked numerically
+instead:
+
+    python tools/cli_digest.py --against ../parent/src
+
+runs every command in both checkouts and prints one line per command and
+format: ``identical <argv>`` when the bytes agree, else
+``max-rel-diff <d> <argv>`` with the largest relative difference over the
+numeric cells (metadata included).  A line ``MISMATCH <what> <argv>``, and
+exit code 1, mean that the exit codes, stderr, the metadata keys, the
+columns, the row counts, the nulls or a non-numeric cell differ.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
 import shlex
 import subprocess
@@ -76,24 +90,107 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_line(argv: list[str], src: Path) -> str:
+def run(argv: list[str], src: Path) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-m", "dickelab.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "dickelab.cli", *argv],
                           capture_output=True, env=env, check=False)
+
+
+def digest_line(argv: list[str], src: Path) -> str:
+    proc = run(argv, src)
     return f"{_sha(proc.stdout)} {_sha(proc.stderr)} {proc.returncode} {shlex.join(argv)}"
+
+
+class Mismatch(Exception):
+    pass
+
+
+def _csv_cell(text: str):
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _table(text: str, fmt: str) -> tuple[list, list, list]:
+    """Metadata items, columns and rows of a rendered Dataset."""
+    if fmt == "json":
+        payload = json.loads(text)
+        return list(payload["meta"].items()), payload["columns"], payload["rows"]
+    lines = text.splitlines()
+    meta = [line[2:].split(" = ", 1) for line in lines if line.startswith("# ")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return ([(key, _csv_cell(value)) for key, value in meta], body[0],
+            [[_csv_cell(cell) for cell in row] for row in body[1:]])
+
+
+def _numeric(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _cell_difference(old, new) -> float:
+    """Relative difference of two numeric cells; raises Mismatch on any other change."""
+    if (old is None) != (new is None):
+        raise Mismatch("null")
+    if not (_numeric(old) and _numeric(new)):
+        if old != new:
+            raise Mismatch("non-numeric cell")
+        return 0.0
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        raise Mismatch("non-finite cell")
+    return abs(new - old) / max(abs(old), abs(new))
+
+
+def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
+    new, old = run(argv, src), run(argv, against)
+    if (new.stdout, new.stderr, new.returncode) == (old.stdout, old.stderr, old.returncode):
+        return f"identical {shlex.join(argv)}"
+    try:
+        if new.returncode != old.returncode:
+            raise Mismatch(f"exit-code {old.returncode}->{new.returncode}")
+        if new.stderr != old.stderr:
+            raise Mismatch("stderr")
+        (old_meta, old_cols, old_rows), (new_meta, new_cols, new_rows) = (
+            _table(proc.stdout.decode(), fmt) for proc in (old, new))
+        if [k for k, _ in old_meta] != [k for k, _ in new_meta]:
+            raise Mismatch("metadata keys")
+        if old_cols != new_cols:
+            raise Mismatch("columns")
+        if len(old_rows) != len(new_rows) or any(
+                len(a) != len(b) for a, b in zip(old_rows, new_rows)):
+            raise Mismatch("row count")
+        cells = [(a, b) for (_, a), (_, b) in zip(old_meta, new_meta)]
+        cells += [pair for a, b in zip(old_rows, new_rows) for pair in zip(a, b)]
+        worst = max((_cell_difference(a, b) for a, b in cells), default=0.0)
+    except Mismatch as exc:
+        return f"MISMATCH {exc} {shlex.join(argv)}"
+    return f"max-rel-diff {worst:.2g} {shlex.join(argv)}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the src directory holding the dickelab package to run")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="compare numerically with the dickelab in this src directory")
     args = parser.parse_args(argv)
     src = args.src.resolve()
+    failed = False
     for command in COMMANDS:
         for fmt in FORMATS:
-            print(digest_line([*command, "--format", fmt], src), flush=True)
-    return 0
+            full = [*command, "--format", fmt]
+            if args.against is None:
+                line = digest_line(full, src)
+            else:
+                line = compare_line(full, src, args.against.resolve(), fmt)
+                failed |= line.startswith("MISMATCH")
+            print(line, flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
