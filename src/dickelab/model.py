@@ -1,4 +1,4 @@
-"""Model parameters, parity-blocked bases, and sparse operator assembly.
+"""Model parameters, parity-blocked bases, and the Hamiltonian's stencil.
 
 The Hamiltonian couples N two-level atoms (collective pseudospin j = N/2)
 to one bosonic mode, with all frequencies in units of the field frequency:
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 PARITIES = ("even", "odd")
 
@@ -76,22 +75,29 @@ class ModelParams:
 class SectorBasis:
     """Ordered basis of a parity sector (or of the full truncated space).
 
-    States are ordered by ascending lambda = nu + n_e, then ascending nu,
-    which makes eigenvectors reproducible across runs.  ``parity`` is
-    "even", "odd", or None for the unprojected basis.
+    States are ordered nu-major, by ascending nu and then ascending n_e,
+    which makes eigenvectors reproducible across runs and H banded, since H
+    couples each nu column only to its two neighbours.  Column nu starts at
+    ``offsets[nu]`` and holds n_e = first, first + step, ... up to
+    min(N, lambda_max - nu): step 2 in a parity sector, whose parity and that
+    of nu fix the first n_e, and step 1 in the unprojected basis.
+    ``parity`` is "even", "odd", or None for the unprojected basis.
     """
 
-    def __init__(self, params: ModelParams, lambda_max: int, parity: str | None,
-                 nu: np.ndarray, ne: np.ndarray):
+    def __init__(self, params: ModelParams, lambda_max: int, parity: str | None):
         self.params = params
         self.lambda_max = int(lambda_max)
         self.parity = parity
-        self.nu = nu
-        self.ne = ne
-        self.lam = nu + ne
-        pos = np.full((lambda_max + 1, params.n_atoms + 1), -1, dtype=np.int64)
-        pos[nu, ne] = np.arange(nu.size)
-        self._pos = pos
+        self.step = step = 1 if parity is None else 2
+        nus = np.arange(lambda_max + 1)
+        first = np.zeros_like(nus) if parity is None else (nus + (parity == "odd")) % 2
+        counts = (np.minimum(params.n_atoms, lambda_max - nus) - first) // step + 1
+        self.offsets = np.zeros(lambda_max + 2, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.nu = np.repeat(nus, counts)
+        self.ne = np.repeat(first - step * self.offsets[:-1], counts) \
+            + step * np.arange(self.offsets[-1])
+        self.lam = self.nu + self.ne
 
     @property
     def size(self) -> int:
@@ -99,19 +105,10 @@ class SectorBasis:
 
     def index_of(self, nu: int, n_e: int) -> int:
         """Position of (nu, n_e) in the ordering, or -1 if absent."""
-        if not (0 <= nu <= self.lambda_max and 0 <= n_e <= self.params.n_atoms):
+        if not (nu >= 0 and 0 <= n_e <= self.params.n_atoms and nu + n_e <= self.lambda_max
+                and (nu + n_e - (self.parity == "odd")) % self.step == 0):
             return -1
-        return int(self._pos[nu, n_e])
-
-    def lookup(self, nu: np.ndarray, ne: np.ndarray) -> np.ndarray:
-        """Vectorized index_of; -1 marks states outside the basis."""
-        nu = np.asarray(nu)
-        ne = np.asarray(ne)
-        out = np.full(nu.shape, -1, dtype=np.int64)
-        ok = (nu >= 0) & (ne >= 0) & (ne <= self.params.n_atoms) \
-            & (nu + ne <= self.lambda_max)
-        out[ok] = self._pos[nu[ok], ne[ok]]
-        return out
+        return int(self.offsets[nu]) + n_e // self.step
 
 
 def build_sector_basis(params: ModelParams, lambda_max: int,
@@ -121,14 +118,7 @@ def build_sector_basis(params: ModelParams, lambda_max: int,
         raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
     if parity not in (None, "even", "odd"):
         raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
-    # lambda shells of the parity, each holding nu = max(0, lam - N) .. lam
-    lams = np.arange(1 if parity == "odd" else 0, lambda_max + 1, 1 if parity is None else 2)
-    counts = np.minimum(lams, params.n_atoms) + 1
-    lam = np.repeat(lams, counts)
-    first = np.cumsum(counts) - counts
-    nu = np.arange(lam.size) - np.repeat(first - np.maximum(lams - params.n_atoms, 0), counts)
-    ne = lam - nu
-    return SectorBasis(params, lambda_max, parity, nu, ne)
+    return SectorBasis(params, lambda_max, parity)
 
 
 def sector_dimension(n_atoms: int, lambda_max: int, parity: str | None = None) -> int:
@@ -148,8 +138,8 @@ def sector_dimension(n_atoms: int, lambda_max: int, parity: str | None = None) -
     if parity is None:
         if lambda_max <= n_atoms:
             return (lambda_max + 1) * (lambda_max + 2) // 2
-        j2 = n_atoms  # 2j
-        return (j2 + 1) * (lambda_max - j2 // 2 + 1) if n_atoms % 2 == 0 else _dim_full_halfint(n_atoms, lambda_max)
+        # (2j+1)(lambda_max - j + 1), in integer arithmetic for half-integer j too
+        return (n_atoms + 1) * (2 * lambda_max - n_atoms + 2) // 2
     if n_atoms % 2 != 0:
         raise ValueError("closed-form sector dimensions are available for integer j only")
     j = n_atoms // 2
@@ -164,17 +154,44 @@ def sector_dimension(n_atoms: int, lambda_max: int, parity: str | None = None) -
     return s_minus * (s_minus + 1)
 
 
-def _dim_full_halfint(n_atoms: int, lambda_max: int) -> int:
-    # (2j+1)(lambda_max - j + 1) is not integer arithmetic for half-integer j;
-    # 2*(expression) always is.
-    return (n_atoms + 1) * (2 * lambda_max - n_atoms + 2) // 2
+class Stencil:
+    """A real symmetric H as its diagonal and its raising couplings,
+    H[tgt, src] = H[src, tgt] = val with every tgt > src.  ``shape`` and
+    ``dtype`` are all ARPACK's shift-invert reads of H; ``nnz`` counts each
+    coupling twice, as a sparse matrix stores it."""
+
+    def __init__(self, diag: np.ndarray, src: np.ndarray, tgt: np.ndarray, val: np.ndarray):
+        self.diag, self.src, self.tgt, self.val = diag, src, tgt, val
+        self.shape = (diag.size, diag.size)
+        self.dtype = diag.dtype
+        self.nnz = diag.size + 2 * val.size
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H x for a vector, column by column for a block."""
+        if x.ndim == 2:
+            return np.stack([self @ col for col in x.T], axis=1)
+        n = self.diag.size
+        return (self.diag * x + np.bincount(self.tgt, self.val * x[self.src], n)
+                + np.bincount(self.src, self.val * x[self.tgt], n))
+
+    def radii(self) -> np.ndarray:
+        """Absolute off-diagonal row sums (the Gershgorin radii), the part
+        left of the diagonal plus the part right of it."""
+        mag, n = np.abs(self.val), self.diag.size
+        return np.bincount(self.tgt, mag, n) + np.bincount(self.src, mag, n)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.diag(self.diag)
+        dense[self.tgt, self.src] = self.val
+        dense[self.src, self.tgt] = self.val
+        return dense
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A real symmetric operator stored sparsely on a SectorBasis."""
+    """A real symmetric operator stored as its Stencil on a SectorBasis."""
 
-    matrix: sp.csr_matrix
+    matrix: Stencil
     basis: SectorBasis
 
     @property
@@ -196,40 +213,30 @@ def _spin_minus_amp(ne: np.ndarray, n_atoms: int) -> np.ndarray:
 
 
 def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix:
-    """Assemble H on the given basis as a canonical CSR matrix; exact symmetry
-    by construction.
+    """Assemble H on the given basis as its Stencil; exact symmetry by
+    construction.
 
-    Diagonal: nu + omega_a (n_e - j), stored in every row.  Off-diagonal: the
-    four ladder combinations of (a'+a)(J+ + J-), each scaled by gamma/sqrt(N).
-    Every coupling changes lambda by 0 or +-2, so parity is preserved exactly.
-    In the (lambda, nu) ordering the row of (nu, n_e) is a five-point stencil
-    whose columns (nu-1, n_e-1), (nu-1, n_e+1), (nu, n_e), (nu+1, n_e-1),
-    (nu+1, n_e+1) ascend, so dropping the absent neighbours leaves sorted rows.
+    Diagonal: nu + omega_a (n_e - j).  Off-diagonal: (a'+a)(J+ + J-) scaled by
+    g = gamma/sqrt(N), stored once as the raising couplings a'J+ and a'J-,
+    which carry (nu, n_e) to (nu+1, n_e+-1) in the next nu column, at
+    offsets[nu+1] + (n_e+-1) // step; in nu-major order every target follows
+    its source.  Every coupling changes lambda by 0 or +2, so parity is
+    preserved exactly.  With g = 0 there are no couplings; otherwise none is
+    zero, since every amplitude is at least |g|.
     """
     if basis.params != params:
         raise ValueError("basis was built for different model parameters")
-    n = basis.size
+    n_atoms = params.n_atoms
     nu, ne = basis.nu, basis.ne
     diag = nu + params.omega_a * (ne - params.j)
-    idx = np.arange(n)
-    cols = [idx]
-    vals = [diag]
-    if params.gamma != 0.0:
-        g = params.gamma / math.sqrt(params.n_atoms)
-        field_up = np.sqrt(nu + 1.0)
-        # a' J+ and a' J- from each state; the lower neighbours' entries are
-        # the transposes, read from the state that raises into this one
-        plus = g * field_up * _spin_plus_amp(ne, params.n_atoms)
-        minus = g * field_up * _spin_minus_amp(ne, params.n_atoms)
-        down_plus = basis.lookup(nu - 1, ne - 1)
-        down_minus = basis.lookup(nu - 1, ne + 1)
-        cols = [down_plus, down_minus, idx, basis.lookup(nu + 1, ne - 1),
-                basis.lookup(nu + 1, ne + 1)]
-        vals = [plus[down_plus], minus[down_minus], diag, minus, plus]
-    # int32 indices, as SciPy stores them: it keeps these arrays uncopied
-    cols = np.stack(cols, axis=1, dtype=np.int32)
-    present = cols >= 0
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1), out=indptr[1:])
-    H = sp.csr_matrix((np.stack(vals, axis=1)[present], cols[present], indptr), shape=(n, n))
-    return OperatorMatrix(H, basis)
+    g = params.gamma / math.sqrt(n_atoms)
+    # a'J+ must stay inside the window and below n_e = N; a'J- needs n_e > 0
+    plus = np.flatnonzero((ne < n_atoms) & (basis.lam <= basis.lambda_max - 2) & (g != 0.0))
+    minus = np.flatnonzero((ne > 0) & (g != 0.0))
+    src = np.concatenate((plus, minus))
+    nu_up = nu[src] + 1
+    ne_plus, ne_minus = ne[plus], ne[minus]
+    tgt = basis.offsets[nu_up] + np.concatenate((ne_plus + 1, ne_minus - 1)) // basis.step
+    val = g * np.sqrt(nu_up) * np.concatenate((_spin_plus_amp(ne_plus, n_atoms),
+                                               _spin_minus_amp(ne_minus, n_atoms)))
+    return OperatorMatrix(Stencil(diag, src, tgt, val), basis)

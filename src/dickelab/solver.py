@@ -4,11 +4,12 @@ Each sector has one solver.  Sectors of up to DENSE_CUTOFF states use dense
 LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
 supplies: (1 + omega_a)/2 below its closed-form variational energy, started
 from the variational state; the parity-free basis, which has no variational
-state, uses one below the Gershgorin bound.  In nu-major order H is banded,
-and LAPACK's banded Cholesky of H - sigma I both proves the shift and
-applies (H - sigma I)^-1 for ARPACK: the factor exists exactly when
-H - sigma I is positive definite, that is when every eigenvalue lies above
-sigma.  ARPACK stops as soon as its residual bound meets the
+state, uses one below the Gershgorin bound.  The basis is nu-major, so H,
+given as its diagonal and raising couplings, fills the lower band of
+H - sigma I directly, and LAPACK's banded Cholesky of that band both proves
+the shift and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly
+when H - sigma I is positive definite, that is when every eigenvalue lies
+above sigma.  ARPACK stops as soon as its residual bound meets the
 contract ||H v - E v|| <= 1e-8, and every result is residual-checked
 against it.  A rejected shift, a solver error or a missed residual raises
 ConvergenceError; nothing is retried.
@@ -29,16 +30,17 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
-from .model import (ModelParams, OperatorMatrix, SectorBasis, _spin_plus_amp, build_hamiltonian,
-                    build_sector_basis)
+from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_plus_amp,
+                    build_hamiltonian, build_sector_basis)
 from .sas import sas_coefficients_at
 from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
 
-# dense eigh and the verified sparse solve both take ~1.1 ms near 140
-# states, and 2.1 against 1.0 ms at 200 (single-threaded BLAS, 2-core host);
-# the cutoff stays at 200 because moving it changes which path solves a
-# sector, which needs its own benchmark
-DENSE_CUTOFF = 200
+# lowest_eigenpairs at the seed truncation, median per 10-state bin (one BLAS
+# thread, 2-core host): dense eigh is faster below 100 states (0.54 against
+# 0.75 ms at 80-89), the two are even at 100-119 (the sparse solve faster in
+# 11 of 23 sectors), and the sparse solve is faster in every sector from 120
+# (0.79 against 0.95 ms at 120-129, 0.58 against 1.58 ms at 200-209)
+DENSE_CUTOFF = 120
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
 # the truncation estimate times this must stay below tol |E|
@@ -147,50 +149,38 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _abs_row_sums(H, data: np.ndarray) -> np.ndarray:
-    """Row sums of |data| laid out on H's sparsity pattern (no row is empty)."""
-    return np.add.reduceat(np.abs(data), H.indptr[:-1])
+def _gershgorin_lower(H: Stencil) -> float:
+    return float((H.diag - H.radii()).min())
 
 
-def _gershgorin_lower(H) -> float:
-    d = H.diagonal()
-    radius = _abs_row_sums(H, H.data) - np.abs(d)
-    return float((d - radius).min())
+def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
+    """LAPACK's lower band storage of H - sigma I, A[i, j] at band[i - j, j].
+
+    The basis is nu-major and every coupling reaches into the next nu column,
+    so the band is about one column of the sector wide; with no coupling it
+    is the diagonal alone.
+    """
+    offset = H.tgt - H.src
+    band = np.zeros((offset.max(initial=0) + 1, H.shape[0]), order="F")
+    band[0] = H.diag - sigma
+    band[offset, H.src] = H.val
+    return band
 
 
-def _verified_shift_invert(H, basis: SectorBasis, k: int, sigma: float):
+def _verified_shift_invert(H: Stencil, basis: SectorBasis, k: int, sigma: float):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(H.indptr))
-    data = H.data.copy()
-    data[H.indices == rows] -= sigma  # build_hamiltonian stores the diagonal in every row
-    # H couples nu to nu +- 1 only, so in nu-major order H - sigma I is banded,
-    # about one nu column of the sector wide; LAPACK's lower band storage
-    # holds A[i, j] at band[i - j, j]
-    order = np.lexsort((basis.ne, basis.nu))
-    pos = np.empty_like(order)
-    pos[order] = np.arange(n)
-    rows, cols = pos[rows], pos[H.indices]
-    offset = rows - cols
-    lower = offset >= 0
-    band = np.zeros((offset.max() + 1, n), order="F")
-    band[offset[lower], cols[lower]] = data[lower]
-    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
     if info > 0:  # the Cholesky factor exists exactly when H - sigma I is positive definite
         raise RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
                            f"{info} of {n} is not positive definite")
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[order] = dpbtrs(chol, b[order], lower=1, overwrite_b=1)[0]
-        return x
-
-    opinv = spla.LinearOperator((n, n), matvec=solve, dtype=H.dtype)
+    opinv = spla.LinearOperator((n, n), matvec=lambda b: dpbtrs(chol, b, lower=1)[0],
+                                dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
     # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
     # this tol meets RESIDUAL_TOL without iterating on to machine precision.
     # By symmetry the 1-norm, a largest column sum, is the largest row sum.
-    tol = RESIDUAL_TOL / _abs_row_sums(H, data).max()
+    tol = RESIDUAL_TOL / (np.abs(H.diag - sigma) + H.radii()).max()
     return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=_start_vector(basis),
                       ncv=min(n, 2 * k + 4), tol=tol)
 

@@ -94,7 +94,8 @@ def dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
 def coo_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
     """Sparse H from (row, col, value) triplets gathered in loops, converted
     from COO to CSR by SciPy: the diagonal of every state, then each a'J+ and
-    a'J- coupling with its transpose, in the states' (lambda, nu) order."""
+    a'J- coupling with its transpose, in the states' (lambda, nu) order;
+    returns (H, states)."""
     states = sorted(enumerate_states(n_atoms, lambda_max, parity),
                     key=lambda s: (s[0] + s[1], s[0]))
     index = {s: i for i, s in enumerate(states)}
@@ -120,7 +121,7 @@ def coo_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
                 cols += [t, i]
                 vals += [v, v]
     dim = len(states)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr(), states
 
 
 def field_matrices(nu_max):

@@ -73,7 +73,7 @@ def test_criterion_01_symmetry_exactness_and_dimensions():
         basis = build_sector_basis(params, 60, None)
         H = build_hamiltonian(params, basis).matrix
         P = brute.parity_matrix(basis)
-        residual = np.abs(H @ P - P @ H)
+        residual = np.abs(H @ P - P @ H.toarray())
         assert residual.max() == 0.0
         for j in range(1, 11):
             n_atoms = 2 * j

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from dickelab import model
+from dickelab import model, solver
 from dickelab.model import (
     ModelParams,
     build_hamiltonian,
@@ -87,11 +87,14 @@ class TestSectorBasis:
                     got = {(int(a), int(b)) for a, b in zip(basis.nu, basis.ne)}
                     assert got == set(expected)
 
-    def test_ordering_lambda_then_nu(self):
+    def test_ordering_nu_then_n_e(self):
         p = ModelParams(1.0, 0.5, 4)
-        basis = build_sector_basis(p, 9, "odd")
-        keys = list(zip(basis.lam.tolist(), basis.nu.tolist()))
-        assert keys == sorted(keys)
+        for parity in ("odd", "even", None):
+            basis = build_sector_basis(p, 9, parity)
+            keys = list(zip(basis.nu.tolist(), basis.ne.tolist()))
+            assert keys == sorted(keys)
+            # column nu starts at offsets[nu]; the last offset is the size
+            assert np.array_equal(basis.offsets, np.searchsorted(basis.nu, np.arange(11)))
 
     def test_index_map(self):
         p = ModelParams(1.0, 0.5, 3)
@@ -165,9 +168,10 @@ class TestHamiltonian:
             basis = build_sector_basis(p, 6, parity)
             H = build_hamiltonian(p, basis).toarray()
             Hb, states = brute.dense_hamiltonian(0.8, 0.45, 3, 6, parity)
-            ours = [(int(a), int(b)) for a, b in zip(basis.nu, basis.ne)]
-            assert ours == states
-            assert np.max(np.abs(H - Hb)) < 1e-14
+            # brute keeps its own (lambda, nu) order; pos maps it onto ours
+            pos = [basis.index_of(nu, ne) for nu, ne in states]
+            assert sorted(pos) == list(range(basis.size))
+            assert np.max(np.abs(H[np.ix_(pos, pos)] - Hb)) < 1e-14
 
     # parity sectors and the full space; no, negative and positive coupling;
     # integer and half-integer j; lambda_max below and above N
@@ -176,47 +180,51 @@ class TestHamiltonian:
     @pytest.mark.parametrize("n_atoms,lam_max", [(8, 5), (8, 21), (7, 4), (7, 18)])
     def test_canonical_stencil_matches_coo_reference(self, parity, gamma, n_atoms, lam_max):
         p = ModelParams(0.8, gamma, n_atoms)
-        H = build_hamiltonian(p, build_sector_basis(p, lam_max, parity)).matrix
-        ref = brute.coo_hamiltonian(0.8, gamma, n_atoms, lam_max, parity)
-        n = H.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(H.indptr))
-        same_row = rows[1:] == rows[:-1]
-        assert np.all(np.diff(H.indices)[same_row] > 0)  # sorted, no duplicates
-        assert np.array_equal(rows[H.indices == rows], np.arange(n))  # one diagonal per row
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(H, name), getattr(ref, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        basis = build_sector_basis(p, lam_max, parity)
+        H = build_hamiltonian(p, basis).matrix
+        ref, states = brute.coo_hamiltonian(0.8, gamma, n_atoms, lam_max, parity)
+        # brute's index of each of our states
+        brute_of = np.empty(basis.size, dtype=np.intp)
+        brute_of[[basis.index_of(nu, ne) for nu, ne in states]] = np.arange(len(states))
+        assert np.array_equal(np.sort(brute_of), np.arange(basis.size))
+        assert np.all(H.tgt > H.src)  # every raising coupling points to a later state
+        assert len(set(zip(H.src.tolist(), H.tgt.tolist()))) == H.val.size  # no duplicates
+        assert H.nnz == ref.nnz  # the diagonal of every state and each coupling twice
+        dense = ref.toarray()
+        assert H.diag.tobytes() == dense[brute_of, brute_of].tobytes()
+        for rows, cols in ((H.tgt, H.src), (H.src, H.tgt)):
+            assert H.val.tobytes() == dense[brute_of[rows], brute_of[cols]].tobytes()
 
     # the full space and a sector, with and without coupling
     @pytest.mark.parametrize("parity,gamma", [(None, 0.0), ("even", 1.3), ("odd", -0.7)])
     def test_csr_constructor_keeps_the_index_arrays(self, monkeypatch, parity, gamma):
         given = []
-        csr_matrix = model.sp.csr_matrix
+        stencil = model.Stencil
 
-        def recording(arg, **kwargs):
-            given.append(arg)
-            return csr_matrix(arg, **kwargs)
+        def recording(*args):
+            given.append(args)
+            return stencil(*args)
 
-        monkeypatch.setattr(model.sp, "csr_matrix", recording)
+        monkeypatch.setattr(model, "Stencil", recording)
         p = ModelParams(0.8, gamma, 8)
         H = build_hamiltonian(p, build_sector_basis(p, 21, parity)).matrix
-        (_, indices, indptr), = given
-        assert np.shares_memory(H.indices, indices)
-        assert np.shares_memory(H.indptr, indptr)
+        (args,) = given
+        assert all(kept is arg for kept, arg in zip((H.diag, H.src, H.tgt, H.val), args))
+        # native index arrays, which numpy indexes with no conversion
+        assert H.src.dtype == H.tgt.dtype == np.intp
 
     def test_exact_symmetry(self):
         p = ModelParams(1.0, 1.2, 6)
-        H = build_hamiltonian(p, build_sector_basis(p, 18, "even")).matrix
-        assert (abs(H - H.T)).max() == 0.0
+        H = build_hamiltonian(p, build_sector_basis(p, 18, "even")).toarray()
+        assert np.abs(H - H.T).max() == 0.0
 
     def test_parity_commutator_exactly_zero(self):
         p = ModelParams(1.0, 1.0, 5)
         basis = build_sector_basis(p, 14, None)
         H = build_hamiltonian(p, basis).matrix
         P = brute.parity_matrix(basis)
-        comm = H @ P - P @ H
-        assert abs(comm).max() == 0.0
+        comm = H @ P - P @ H.toarray()
+        assert np.abs(comm).max() == 0.0
 
     def test_parity_conjugation_reproduces_h(self):
         p = ModelParams(1.3, 0.6, 4)
@@ -249,9 +257,47 @@ class TestHamiltonian:
     def test_parity_closure_property(self, omega, gamma, n_atoms, lam_max):
         p = ModelParams(omega, gamma, n_atoms)
         basis = build_sector_basis(p, lam_max, None)
-        H = build_hamiltonian(p, basis).matrix.tocoo()
+        H = build_hamiltonian(p, basis).matrix
         lam = basis.lam
-        assert np.all((lam[H.row] - lam[H.col]) % 2 == 0)
+        assert np.all((lam[H.tgt] - lam[H.src]) % 2 == 0)
+
+
+class TestStencil:
+    """The stencil against tests/brute.py's loop-built dense H, which keeps
+    its own (lambda, nu) order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(1, 20),
+           omega_a=st.floats(0.25, 9.0), gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           parity=st.sampled_from(["even", "odd", None]), sigma=st.floats(-60.0, 60.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_against_brute_dense(self, n_atoms, lambda_max, omega_a, gamma, parity, sigma,
+                                 seed):
+        p = ModelParams(omega_a, gamma, n_atoms)
+        basis = build_sector_basis(p, lambda_max, parity)
+        H = build_hamiltonian(p, basis).matrix
+        Hb, states = brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)
+        n = len(states)
+        # index_of finds exactly brute's states, each at its own position
+        found = {(nu, ne): basis.index_of(nu, ne)
+                 for nu in range(-1, lambda_max + 2) for ne in range(-1, n_atoms + 2)}
+        pos = [found.pop(state) for state in states]
+        assert sorted(pos) == list(range(n)) == list(range(basis.size))
+        assert set(found.values()) == {-1}
+        dense = H.toarray()
+        assert np.array_equal(dense[np.ix_(pos, pos)], Hb)
+        X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3))
+        scale = 1e-14 * np.abs(dense).sum(axis=1).max()
+        assert np.allclose(H @ X[:, 0], dense @ X[:, 0], rtol=0.0, atol=scale)
+        assert np.allclose(H @ X, dense @ X, rtol=0.0, atol=scale)
+        # the band handed to dpbtrf is the dense lower band of H - sigma I
+        shifted = dense - sigma * np.eye(n)
+        band = solver._lower_band(H, sigma)
+        assert band.shape[1] == n and np.all(np.tril(shifted, -band.shape[0]) == 0.0)
+        for offset in range(band.shape[0]):
+            assert np.array_equal(band[offset, :n - offset], np.diagonal(shifted, -offset))
+            assert np.all(band[offset, n - offset:] == 0.0)
+        assert H.nnz == n + np.count_nonzero(dense - np.diag(np.diagonal(dense)))
 
 
 class TestExcitationOperator:

@@ -101,6 +101,16 @@ class TestLowestEigenpairs:
             r = np.linalg.norm(op.matrix @ v - res.eigenvalues[col] * v)
             assert r <= 1e-8
 
+    def test_gamma_zero_sector_above_the_cutoff(self):
+        # no couplings: the band factored is the diagonal alone
+        p = ModelParams(1.0, 0.0, 40)
+        op = build_hamiltonian(p, build_sector_basis(p, 32, "even"))
+        assert op.dimension == 289 > solver.DENSE_CUTOFF
+        assert op.matrix.val.size == 0
+        res = lowest_eigenpairs(op, 1)
+        assert res.path == "variational shift-invert"
+        assert res.eigenvalues[0] == pytest.approx(-20.0, abs=1e-12)
+
     def test_sign_convention(self):
         p = ModelParams(1.0, 0.9, 8)
         res = _solve(p, 40, "even", 2)
@@ -257,8 +267,8 @@ class TestOneVerifiedSolve:
         op = build_hamiltonian(p, basis)
         H, n = op.matrix, op.dimension
         assert n > solver.DENSE_CUTOFF
-        assert (parity == "odd") == (0.0 in H.diagonal())
-        before = [H.data.copy(), H.indices.copy(), H.indptr.copy()]
+        assert (parity == "odd") == (0.0 in H.diag)
+        before = [a.copy() for a in (H.diag, H.src, H.tgt, H.val)]
         factored = []
         dpbtrf = solver.dpbtrf
 
@@ -271,9 +281,9 @@ class TestOneVerifiedSolve:
         res = lowest_eigenpairs(op, 1)
         assert res.path == "variational shift-invert"
         sigma = variational_energy(p, parity) - shift_margin(p)
-        # the lower band of H - sigma I in nu-major order, read off the dense matrix
-        order = np.lexsort((basis.ne, basis.nu))
-        shifted = (H - sigma * sp.identity(n, format="csr")).toarray()[np.ix_(order, order)]
+        # the lower band of H - sigma I in the basis' nu-major order, read off
+        # the dense matrix
+        shifted = op.toarray() - sigma * np.eye(n)
         rows, cols = np.nonzero(shifted)
         want = np.zeros(((rows - cols).max() + 1, n))
         for offset in range(want.shape[0]):
@@ -283,23 +293,26 @@ class TestOneVerifiedSolve:
         assert np.array_equal(band, want)
         assert in_place and kwargs == {"lower": 1, "overwrite_ab": 1}
         # a stored zero diagonal is shifted like every other
-        zero = np.flatnonzero(H.diagonal()[order] == 0.0)
+        zero = np.flatnonzero(H.diag == 0.0)
         assert (zero.size > 0) == (parity == "odd")
         assert np.all(band[0, zero] == -sigma)
         norm1 = np.abs(shifted).sum(axis=0).max()
         assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
-        # the shift works on a copy of H.data; H must come back untouched
-        for got, kept in zip((H.data, H.indices, H.indptr), before):
+        # the band is filled from H's arrays; H must come back untouched
+        for got, kept in zip((H.diag, H.src, H.tgt, H.val), before):
             assert np.array_equal(got, kept)
 
     @pytest.mark.parametrize("n_atoms,x,parity", [(20, 1.5, "even"), (17, 0.6, "odd")])
     def test_gershgorin_bound_from_the_row_sums(self, n_atoms, x, parity):
         p = ModelParams.from_ratio(1.0, x, n_atoms)
         basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], parity)
-        H = build_hamiltonian(p, basis).matrix
-        d = H.diagonal()
-        radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(d)
-        assert solver._gershgorin_lower(H) == float((d - radius).min())
+        op = build_hamiltonian(p, basis)
+        H = op.toarray()
+        d = np.diagonal(H)
+        # a row holds at most two couplings on each side of the diagonal, so
+        # summing each side in any order rounds alike
+        radius = np.abs(np.tril(H, -1)).sum(axis=1) + np.abs(np.triu(H, 1)).sum(axis=1)
+        assert solver._gershgorin_lower(op.matrix) == float((d - radius).min())
 
     def test_dense_ceiling_raises_with_diagnostics(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
@@ -351,7 +364,7 @@ class TestOneVerifiedSolve:
         assert np.allclose(res.eigenvalues, np.sort(sectors)[:2], rtol=0.0, atol=1e-9)
         # the same inertia proof and ARPACK stop as on the variational shift
         sigma = solver._gershgorin_lower(H) - 1.0
-        norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
+        norm1 = np.abs(op.toarray() - sigma * np.eye(op.dimension)).sum(axis=0).max()
         assert len(calls) == 1
         assert calls[0]["sigma"] == sigma
         assert isinstance(calls[0]["OPinv"], solver.spla.LinearOperator)
@@ -535,7 +548,9 @@ class TestClosedFormSizing:
         monkeypatch.setattr(solver.spla, "eigsh", recording)
         res = converge_ground(p, "even", tol=1e-8)
         assert res.path == "variational shift-invert"
-        H = build_hamiltonian(p, res.basis).matrix
+        # the 1-norm does not depend on the order of the states, so brute's
+        # loop-built H in its own order gives it
+        H, _ = brute.coo_hamiltonian(p.omega_a, p.gamma, p.n_atoms, res.lambda_max, "even")
         sigma = variational_energy(p, "even") - shift_margin(p)
         norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
         assert tols == [pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)]
