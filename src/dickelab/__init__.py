@@ -30,7 +30,6 @@ from .model import (
     build_hamiltonian,
     build_sector_basis,
     gamma_critical,
-    sector_dimension,
 )
 from .observables import ObservableSet, eigen_observables, joint_distribution_exact
 from .sas import (

@@ -7,7 +7,8 @@ to one bosonic mode, with all frequencies in units of the field frequency:
 
 The excitation number Lambda = a'a + Jz + j is conserved modulo 2, so H is
 block diagonal in the parity (-1)**Lambda.  Bases are truncated at a maximum
-excitation lambda_max; couplings that would leave the window are dropped
+excitation lambda_max and, optionally, to a box nu >= nu_lo,
+ne_lo <= n_e <= ne_hi; couplings that would leave the window are dropped
 (variational truncation), never wrapped.
 """
 from __future__ import annotations
@@ -73,25 +74,32 @@ class ModelParams:
 
 
 class SectorBasis:
-    """Ordered basis of a parity sector (or of the full truncated space).
+    """Ordered basis of a parity sector (or of the full truncated space) in
+    the window lambda <= lambda_max, nu >= nu_lo, ne_lo <= n_e <= ne_hi.
 
     States are ordered nu-major, by ascending nu and then ascending n_e,
     which makes eigenvectors reproducible across runs and H banded, since H
     couples each nu column only to its two neighbours.  Column nu starts at
-    ``offsets[nu]`` and holds n_e = first, first + step, ... up to
-    min(N, lambda_max - nu): step 2 in a parity sector, whose parity and that
-    of nu fix the first n_e, and step 1 in the unprojected basis.
+    ``offsets[nu]`` (the columns below nu_lo are empty) and holds
+    n_e = first, first + step, ... up to min(ne_hi, lambda_max - nu): step 2
+    in a parity sector, whose parity and that of nu fix the first n_e at or
+    above ne_lo, and step 1 in the unprojected basis.  The default window,
+    nu_lo = ne_lo = 0 and ne_hi = N, is the whole truncated space.
     ``parity`` is "even", "odd", or None for the unprojected basis.
     """
 
-    def __init__(self, params: ModelParams, lambda_max: int, parity: str | None):
+    def __init__(self, params: ModelParams, lambda_max: int, parity: str | None,
+                 nu_lo: int = 0, ne_lo: int = 0, ne_hi: int | None = None):
         self.params = params
         self.lambda_max = int(lambda_max)
         self.parity = parity
+        self.nu_lo, self.ne_lo = int(nu_lo), int(ne_lo)
+        self.ne_hi = params.n_atoms if ne_hi is None else int(ne_hi)
         self.step = step = 1 if parity is None else 2
         nus = np.arange(lambda_max + 1)
-        first = np.zeros_like(nus) if parity is None else (nus + (parity == "odd")) % 2
-        counts = (np.minimum(params.n_atoms, lambda_max - nus) - first) // step + 1
+        first = ne_lo + (0 if parity is None else (nus + ne_lo + (parity == "odd")) % 2)
+        counts = np.maximum((np.minimum(self.ne_hi, lambda_max - nus) - first) // step + 1, 0)
+        counts[:nu_lo] = 0
         self.offsets = np.zeros(lambda_max + 2, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         self.nu = np.repeat(nus, counts)
@@ -104,54 +112,27 @@ class SectorBasis:
         return self.nu.size
 
     def index_of(self, nu: int, n_e: int) -> int:
-        """Position of (nu, n_e) in the ordering, or -1 if absent."""
-        if not (nu >= 0 and 0 <= n_e <= self.params.n_atoms and nu + n_e <= self.lambda_max
+        """Position of (nu, n_e) in the ordering, or -1 if outside the window."""
+        if not (nu >= self.nu_lo and self.ne_lo <= n_e <= self.ne_hi
+                and nu + n_e <= self.lambda_max
                 and (nu + n_e - (self.parity == "odd")) % self.step == 0):
             return -1
-        return int(self.offsets[nu]) + n_e // self.step
+        return int(self.offsets[nu]) + (n_e - self.ne_lo) // self.step
 
 
-def build_sector_basis(params: ModelParams, lambda_max: int,
-                       parity: str | None = None) -> SectorBasis:
-    """Enumerate the (parity-filtered) basis with lambda <= lambda_max."""
+def build_sector_basis(params: ModelParams, lambda_max: int, parity: str | None = None,
+                       nu_lo: int = 0, ne_lo: int = 0, ne_hi: int | None = None) -> SectorBasis:
+    """Enumerate the (parity-filtered) basis in the window lambda <= lambda_max,
+    nu >= nu_lo, ne_lo <= n_e <= ne_hi (ne_hi = N when None)."""
     if lambda_max < 0:
         raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
     if parity not in (None, "even", "odd"):
         raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
-    return SectorBasis(params, lambda_max, parity)
-
-
-def sector_dimension(n_atoms: int, lambda_max: int, parity: str | None = None) -> int:
-    """Closed-form dimension of the truncated basis (integer j only).
-
-    For the unprojected basis:
-        d = (lambda_max+1)(lambda_max+2)/2          for lambda_max <= 2j
-        d = (2j+1)(lambda_max - j + 1)              for lambda_max >= 2j
-    For the parity sectors, with s+ = floor(lambda_max/2) and
-    s- = floor((lambda_max+1)/2):
-        lambda_max >= 2j:  d+ = (j+1)^2 + (2j+1)(s+ - j)
-                           d- = j(j+1) + (2j+1)(s- - j)
-        lambda_max <  2j:  d+ = (s+ + 1)^2,  d- = s-(s- + 1)
-    """
-    if lambda_max < 0:
-        raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
-    if parity is None:
-        if lambda_max <= n_atoms:
-            return (lambda_max + 1) * (lambda_max + 2) // 2
-        # (2j+1)(lambda_max - j + 1), in integer arithmetic for half-integer j too
-        return (n_atoms + 1) * (2 * lambda_max - n_atoms + 2) // 2
-    if n_atoms % 2 != 0:
-        raise ValueError("closed-form sector dimensions are available for integer j only")
-    j = n_atoms // 2
-    s_plus = lambda_max // 2
-    s_minus = (lambda_max + 1) // 2
-    if lambda_max >= 2 * j:
-        if parity == "even":
-            return (j + 1) ** 2 + (2 * j + 1) * (s_plus - j)
-        return j * (j + 1) + (2 * j + 1) * (s_minus - j)
-    if parity == "even":
-        return (s_plus + 1) ** 2
-    return s_minus * (s_minus + 1)
+    hi = params.n_atoms if ne_hi is None else ne_hi
+    if not (nu_lo >= 0 and 0 <= ne_lo <= hi <= params.n_atoms):
+        raise ValueError(f"window edges need nu_lo >= 0 and 0 <= ne_lo <= ne_hi <= N, got "
+                         f"nu_lo={nu_lo}, ne_lo={ne_lo}, ne_hi={hi}")
+    return SectorBasis(params, lambda_max, parity, nu_lo, ne_lo, hi)
 
 
 class Stencil:
@@ -219,8 +200,8 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
     Diagonal: nu + omega_a (n_e - j).  Off-diagonal: (a'+a)(J+ + J-) scaled by
     g = gamma/sqrt(N), stored once as the raising couplings a'J+ and a'J-,
     which carry (nu, n_e) to (nu+1, n_e+-1) in the next nu column, at
-    offsets[nu+1] + (n_e+-1) // step; in nu-major order every target follows
-    its source.  Every coupling changes lambda by 0 or +2, so parity is
+    offsets[nu+1] + (n_e+-1 - ne_lo) // step; in nu-major order every target
+    follows its source.  Couplings that leave the window are dropped.  Every coupling changes lambda by 0 or +2, so parity is
     preserved exactly.  With g = 0 there are no couplings; otherwise none is
     zero, since every amplitude is at least |g|.
     """
@@ -230,13 +211,15 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
     nu, ne = basis.nu, basis.ne
     diag = nu + params.omega_a * (ne - params.j)
     g = params.gamma / math.sqrt(n_atoms)
-    # a'J+ must stay inside the window and below n_e = N; a'J- needs n_e > 0
-    plus = np.flatnonzero((ne < n_atoms) & (basis.lam <= basis.lambda_max - 2) & (g != 0.0))
-    minus = np.flatnonzero((ne > 0) & (g != 0.0))
+    # a'J+ must stay below lambda_max and ne_hi, a'J- above ne_lo
+    plus = np.flatnonzero((ne < basis.ne_hi) & (basis.lam <= basis.lambda_max - 2)
+                          & (g != 0.0))
+    minus = np.flatnonzero((ne > basis.ne_lo) & (g != 0.0))
     src = np.concatenate((plus, minus))
     nu_up = nu[src] + 1
     ne_plus, ne_minus = ne[plus], ne[minus]
-    tgt = basis.offsets[nu_up] + np.concatenate((ne_plus + 1, ne_minus - 1)) // basis.step
+    tgt = basis.offsets[nu_up] + (np.concatenate((ne_plus + 1, ne_minus - 1))
+                                  - basis.ne_lo) // basis.step
     val = g * np.sqrt(nu_up) * np.concatenate((_spin_plus_amp(ne_plus, n_atoms),
                                                _spin_minus_amp(ne_minus, n_atoms)))
     return OperatorMatrix(Stencil(diag, src, tgt, val), basis)

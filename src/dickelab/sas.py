@@ -25,7 +25,7 @@ from scipy.special import gammaln
 from .errors import ProjectionAnnihilationError, TruncationError
 from .model import ModelParams
 from .observables import ObservableSet, grid_observables
-from .surface import f_function, k_ratio, one_minus_x4
+from .surface import f_function, k_ratio, one_minus_x4, photon_statistics
 
 ODD_LIMIT_WINDOW = 1e-8  # |x|-1 below this: use exact x->1 limits (odd branch)
 
@@ -42,8 +42,7 @@ def _require_superradiant(params: ModelParams, strict: bool = False) -> float:
 
 def photon_number_coherent(params: ModelParams) -> float:
     """mu = N gamma_c^2 x^2 (1 - x^-4)."""
-    xa = abs(params.x)
-    return params.n_atoms * params.gamma_c ** 2 * xa ** 2 * one_minus_x4(xa)
+    return photon_statistics(params)[0]
 
 
 def _photon_sign(params: ModelParams) -> float:

@@ -15,9 +15,10 @@ against it.  A rejected shift, a solver error or a missed residual raises
 ConvergenceError; nothing is retried.
 
 converge_ground seeds the truncation from the closed-form mean and width of
-the excitation number and accepts it from that one solve when the energy the
-top excitation shell leaks into the next one, to second order, is far below
-the tolerance.
+the excitation number and, in the superradiant phase, boxes the sector in
+around the closed-form photon and atom numbers; it accepts that window from
+one solve when the energy the states on its edges leak across them, to
+second order, is far below the tolerance.
 """
 from __future__ import annotations
 
@@ -30,10 +31,11 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
-from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_plus_amp,
-                    build_hamiltonian, build_sector_basis)
+from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_minus_amp,
+                    _spin_plus_amp, build_hamiltonian, build_sector_basis)
 from .sas import sas_coefficients_at
-from .surface import lambda_statistics, normal_odd_state, sas_energy_at_critical
+from .surface import (atom_statistics, lambda_statistics, normal_odd_state, photon_statistics,
+                      sas_energy_at_critical)
 
 # lowest_eigenpairs at the seed truncation, median per 10-state bin (one BLAS
 # thread, 2-core host): dense eigh is faster below 100 states (0.54 against
@@ -45,6 +47,10 @@ RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
 # the truncation estimate times this must stay below tol |E|
 TRUNCATION_SAFETY = 10.0
+# a superradiant sector's box edges lie WINDOW_WIDTHS widths plus WINDOW_MARGIN
+# from each mode's closed-form mean (see truncation_seed)
+WINDOW_WIDTHS = 5.5
+WINDOW_MARGIN = 2.0
 
 
 @dataclass
@@ -56,8 +62,9 @@ class SpectralResult:
     ``history`` records (lambda_max, eigenvalues) per truncation step.
     ``path`` names the one solver the sector was given ("dense",
     "variational shift-invert" or "gershgorin shift-invert").
-    ``truncation_estimate`` is the second-order energy leak per eigenvalue
-    and ``seed`` the truncation_seed record (both set by converge_ground).
+    ``truncation_estimate`` is the second-order energy leak per eigenvalue,
+    summed over the window's edge_leaks, and ``seed`` the truncation_seed
+    record (both set by converge_ground).
     """
 
     parity: str | None
@@ -255,55 +262,118 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
 # -- truncation -------------------------------------------------------------------
 
 def truncation_seed(params: ModelParams) -> dict:
-    """The first lambda_max and the excitation statistics it is drawn from.
+    """The first window and the excitation statistics it is drawn from.
 
     lambda_seed = <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6, with (<Lambda>,
     dLambda) the closed-form lambda_statistics (zero in the normal phase) and
     dc = 1.25 omega_a^(1/6) N^(1/3) the width of the critical fluctuations,
-    which the mean-field width misses near the separatrix.  Calibrated on
-    omega_a in {0.25, 1, 4, 9}, N 10-140 and x 0.3-2.5 (1368 sector ground
-    states below the default cap): every one is accepted at the seed with
-    tol = 1e-8, at least one shell of its parity above the smallest lambda_max
-    that passes.
+    which the mean-field width misses near the separatrix.  In the
+    superradiant phase (|x| > 1) the window is also boxed in: nu >= nu_lo and
+    ne_lo <= n_e <= ne_hi, each edge at the closed-form photon or atom mean
+    -+ (WINDOW_WIDTHS sqrt(width^2 + dc^2) + WINDOW_MARGIN), with the mean and
+    width from photon_statistics and atom_statistics; otherwise the box is
+    the whole space, nu_lo = ne_lo = 0 and ne_hi = N.  Calibrated with
+    tools/calibrate_truncation.py on omega_a in {0.25, 1, 4, 9}, N 10-140 and
+    x 0.3-2.5: every sector ground state below the default cap is accepted
+    at the seed with tol = 1e-8.
     """
     mean, width = lambda_statistics(params)
-    critical = 1.25 * params.omega_a ** (1.0 / 6.0) * params.n_atoms ** (1.0 / 3.0)
+    n_atoms = params.n_atoms
+    critical = 1.25 * params.omega_a ** (1.0 / 6.0) * n_atoms ** (1.0 / 3.0)
     seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
-    return {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width}
+    record = {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width,
+              "nu_lo": 0, "ne_lo": 0, "ne_hi": n_atoms}
+    if abs(params.x) > 1.0:
+        def reach(mode_width):
+            return WINDOW_WIDTHS * math.hypot(mode_width, critical) + WINDOW_MARGIN
+
+        (nu_mean, nu_width), (ne_mean, ne_width) = (photon_statistics(params),
+                                                    atom_statistics(params))
+        record.update(nu_lo=max(0, math.floor(nu_mean - reach(nu_width))),
+                      ne_lo=max(0, math.floor(ne_mean - reach(ne_width))),
+                      ne_hi=min(n_atoms, math.ceil(ne_mean + reach(ne_width))))
+    return record
 
 
-def truncation_estimate(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
-                        eigenvectors: np.ndarray) -> np.ndarray:
-    """Second-order energy each eigenpair loses to the shell above the window.
-
-    Only a'J+ leaves the window: it carries the top shell lambda_top =
-    max(lambda) (which differs from lambda_max when their parities differ)
-    to lambda_top + 2 with amplitude r = g sqrt(nu+1) sqrt((N-n_e)(n_e+1)) psi,
-    g = gamma/sqrt(N).  Each state there is fed by one top-shell state, so
-    the estimate is sum r^2 / (H_ii - E) over the receiving states; it is
-    infinite when a receiving state lies at or below E.
-    """
-    top = basis.lam == basis.lam.max()
-    nu, ne = basis.nu[top], basis.ne[top]
-    g = params.gamma / math.sqrt(params.n_atoms)
-    amp = g * np.sqrt(nu + 1.0) * _spin_plus_amp(ne, params.n_atoms)
-    gap = (nu + 1.0 + params.omega_a * (ne + 1.0 - params.j))[:, None] - eigenvalues[None, :]
-    leak = (amp[:, None] * eigenvectors[top, :]) ** 2
+def _leak(r: np.ndarray, diag: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """sum_h r_h^2 / (H_hh - E) per eigenvalue, infinite when a receiving
+    state h lies at or below E."""
+    gap = diag[:, None] - eigenvalues[None, :]
     if np.any(gap <= 0.0):
         return np.full(eigenvalues.shape, np.inf)
-    return (leak / gap).sum(axis=0)
+    return (r ** 2 / gap).sum(axis=0)
+
+
+def _leak_into(params: ModelParams, nu: np.ndarray, ne: np.ndarray, amp: np.ndarray,
+               psi: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+    """The leak into the states (nu, n_e) outside the window, each fed with
+    amplitude amp by a window state of coefficients psi; a state fed twice
+    sums both."""
+    width = params.n_atoms + 2
+    keys, where = np.unique(nu * width + ne, return_inverse=True)
+    r = np.zeros((keys.size, eigenvalues.size))
+    np.add.at(r, where, amp[:, None] * psi)
+    nu, ne = np.divmod(keys, width)
+    return _leak(r, nu + params.omega_a * (ne - params.j), eigenvalues)
+
+
+def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
+               eigenvectors: np.ndarray) -> dict[str, np.ndarray]:
+    """Second-order energy each eigenpair leaks across each edge of the window,
+    sum r_h^2 / (H_hh - E) over the states h just outside that edge, with
+    r_h = sum_i H_hi psi_i over the window's states i.
+
+    Across the lambda edge only a'J+ leaves: it carries the top shell
+    lambda_top = max(lambda) (which differs from lambda_max when their
+    parities differ) to lambda_top + 2 with amplitude
+    g sqrt(nu+1) sqrt((N-n_e)(n_e+1)), g = gamma/sqrt(N), and each state
+    there is fed by one top-shell state.  Each box edge present adds an
+    entry: a J+- carry the first column to nu_lo - 1 ("nu_lo"), a'J- and aJ-
+    carry n_e = ne_lo to ne_lo - 1 ("ne_lo"), and a'J+ and aJ+ carry
+    n_e = ne_hi to ne_hi + 1 below lambda_max ("ne_hi"); a state outside
+    gathers up to two couplings, and one outside several edges counts for
+    the first of them.  Only these edge states are read.
+    """
+    n_atoms, omega, j = params.n_atoms, params.omega_a, params.j
+    g = params.gamma / math.sqrt(n_atoms)
+    nu, ne, psi = basis.nu, basis.ne, eigenvectors
+    top = basis.lam == basis.lam.max()
+    amp = g * np.sqrt(nu[top] + 1.0) * _spin_plus_amp(ne[top], n_atoms)
+    leaks = {"lambda": _leak(amp[:, None] * psi[top, :],
+                             nu[top] + 1.0 + omega * (ne[top] + 1.0 - j), eigenvalues)}
+    if basis.nu_lo > 0:
+        col = slice(basis.offsets[basis.nu_lo], basis.offsets[basis.nu_lo + 1])
+        ne_h = np.concatenate((ne[col] + 1, ne[col] - 1))
+        amp = g * math.sqrt(basis.nu_lo) * np.concatenate(
+            (_spin_plus_amp(ne[col], n_atoms), _spin_minus_amp(ne[col], n_atoms)))
+        keep = (ne_h >= 0) & (ne_h <= n_atoms)
+        leaks["nu_lo"] = _leak_into(params, basis.nu_lo - 1, ne_h[keep], amp[keep],
+                                    np.concatenate((psi[col], psi[col]))[keep], eigenvalues)
+    for name, present, edge, dne, spin_amp in (
+            ("ne_lo", basis.ne_lo > 0, basis.ne_lo, -1, _spin_minus_amp),
+            ("ne_hi", basis.ne_hi < n_atoms, basis.ne_hi, 1, _spin_plus_amp)):
+        if not present:
+            continue
+        src = np.flatnonzero(ne == edge)
+        nu_h = np.concatenate((nu[src] + 1, nu[src] - 1))
+        amp = g * spin_amp(edge, n_atoms) * np.sqrt(np.concatenate((nu[src] + 1.0, nu[src])))
+        keep = (nu_h >= basis.nu_lo) & (nu_h + edge + dne <= basis.lambda_max)
+        leaks[name] = _leak_into(params, nu_h[keep], edge + dne, amp[keep],
+                                 np.concatenate((psi[src], psi[src]))[keep], eigenvalues)
+    return leaks
 
 
 def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                     k: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
     """The k lowest eigenpairs of a sector, converged in truncation by one solve.
 
-    The first lambda_max is truncation_seed, lowered to ``lambda_cap`` when
-    above it.  A solve is accepted when TRUNCATION_SAFETY
+    The first window is truncation_seed's, with lambda_max lowered to
+    ``lambda_cap`` when above it.  A solve is accepted when TRUNCATION_SAFETY
     times its truncation estimate is at most ``tol`` |E| for every
-    eigenvalue; otherwise lambda_max grows by 2 and the sector is solved
-    again.  Raises ConvergenceError (carrying the best result and its
-    diagnostics) if ``lambda_cap`` is exceeded.
+    eigenvalue; otherwise lambda_max grows by 2, every box edge moves out by
+    2 (as far as the space reaches) and the sector is solved again.  Raises
+    ConvergenceError (carrying the best result and its diagnostics) if
+    ``lambda_cap`` is exceeded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
@@ -311,10 +381,11 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     seed = truncation_seed(params)
     lam = min(seed["lambda_seed"], lambda_cap)
+    nu_lo, ne_lo, ne_hi = seed["nu_lo"], seed["ne_lo"], seed["ne_hi"]
     history: list[tuple[int, np.ndarray]] = []
     best = None
     while lam <= lambda_cap:
-        basis = build_sector_basis(params, lam, parity)
+        basis = build_sector_basis(params, lam, parity, nu_lo, ne_lo, ne_hi)
         if basis.size >= k:  # the sector must hold at least k states
             try:
                 res = lowest_eigenpairs(build_hamiltonian(params, basis), k)
@@ -322,8 +393,8 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                 exc.diagnostics.update(seed, history=history)
                 raise
             res.seed = seed
-            res.truncation_estimate = truncation_estimate(params, basis, res.eigenvalues,
-                                                          res.eigenvectors)
+            res.truncation_estimate = sum(edge_leaks(params, basis, res.eigenvalues,
+                                                     res.eigenvectors).values())
             history.append((lam, res.eigenvalues.copy()))
             res.history = history
             if np.all(TRUNCATION_SAFETY * res.truncation_estimate
@@ -332,6 +403,7 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                 return res
             best = res
         lam += 2
+        nu_lo, ne_lo, ne_hi = max(nu_lo - 2, 0), max(ne_lo - 2, 0), min(ne_hi + 2, params.n_atoms)
     diagnostics = best.diagnostics() if best is not None else {"history": history, **seed}
     raise ConvergenceError(
         f"ground state not converged below lambda_max cap {lambda_cap}",

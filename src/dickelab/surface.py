@@ -114,8 +114,29 @@ def minimum_energy(params: ModelParams) -> tuple[float, float | None]:
     return e_normal, e_super
 
 
+def photon_statistics(params: ModelParams) -> tuple[float, float]:
+    """Mean and width of the photon number at the minimum: the coherent
+    state's mu = N gamma_c^2 x^2 (1 - x^-4) and its Poisson width sqrt(mu),
+    both zero in the normal phase."""
+    xa = abs(params.x)
+    mu = params.n_atoms * params.gamma_c ** 2 * xa ** 2 * one_minus_x4(xa)
+    return mu, math.sqrt(mu)
+
+
+def atom_statistics(params: ModelParams) -> tuple[float, float]:
+    """Mean and width of the excited-atom number n_e = Jz + j at the minimum:
+    the spin coherent state's N (1 - x^-2)/2 and sqrt(N (1 - x^-4))/2, both
+    zero in the normal phase."""
+    xa = abs(params.x)
+    if xa <= 1.0:
+        return 0.0, 0.0
+    n = params.n_atoms
+    return 0.5 * n * (1.0 - xa ** -2), 0.5 * math.sqrt(n * one_minus_x4(xa))
+
+
 def lambda_statistics(params: ModelParams, phase: str | None = None) -> tuple[float, float]:
-    """Mean and fluctuation of the excitation number at the minimum.
+    """Mean and fluctuation of the excitation number at the minimum, the sums
+    of the photon and atom means and of their widths in quadrature.
 
     phase=None picks the global minimum for the given coupling; requesting
     the superradiant branch below the separatrix is a domain error.
@@ -127,12 +148,9 @@ def lambda_statistics(params: ModelParams, phase: str | None = None) -> tuple[fl
         return 0.0, 0.0
     if xa < 1.0:
         raise ValueError("superradiant branch undefined for |x| < 1")
-    n = params.n_atoms
-    gc2 = params.gamma_c ** 2
-    omx4 = one_minus_x4(xa)
-    mean = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc2 * xa ** 2 * omx4)
-    fluct = math.sqrt(0.5 * n * (0.5 + 2.0 * gc2 * xa ** 2) * omx4)
-    return mean, fluct
+    (photon_mean, photon_width), (atom_mean, atom_width) = (photon_statistics(params),
+                                                            atom_statistics(params))
+    return photon_mean + atom_mean, math.hypot(photon_width, atom_width)
 
 
 @dataclass(frozen=True)

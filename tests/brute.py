@@ -27,6 +27,39 @@ def enumerate_states(n_atoms, lambda_max, parity=None):
     return out
 
 
+def sector_dimension(n_atoms, lambda_max, parity=None):
+    """Closed-form dimension of the whole truncated basis (integer j only).
+
+    For the unprojected basis:
+        d = (lambda_max+1)(lambda_max+2)/2          for lambda_max <= 2j
+        d = (2j+1)(lambda_max - j + 1)              for lambda_max >= 2j
+    For the parity sectors, with s+ = floor(lambda_max/2) and
+    s- = floor((lambda_max+1)/2):
+        lambda_max >= 2j:  d+ = (j+1)^2 + (2j+1)(s+ - j)
+                           d- = j(j+1) + (2j+1)(s- - j)
+        lambda_max <  2j:  d+ = (s+ + 1)^2,  d- = s-(s- + 1)
+    """
+    if lambda_max < 0:
+        raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
+    if parity is None:
+        if lambda_max <= n_atoms:
+            return (lambda_max + 1) * (lambda_max + 2) // 2
+        # (2j+1)(lambda_max - j + 1), in integer arithmetic for half-integer j too
+        return (n_atoms + 1) * (2 * lambda_max - n_atoms + 2) // 2
+    if n_atoms % 2 != 0:
+        raise ValueError("closed-form sector dimensions are available for integer j only")
+    j = n_atoms // 2
+    s_plus = lambda_max // 2
+    s_minus = (lambda_max + 1) // 2
+    if lambda_max >= 2 * j:
+        if parity == "even":
+            return (j + 1) ** 2 + (2 * j + 1) * (s_plus - j)
+        return j * (j + 1) + (2 * j + 1) * (s_minus - j)
+    if parity == "even":
+        return (s_plus + 1) ** 2
+    return s_minus * (s_minus + 1)
+
+
 @dataclass(frozen=True)
 class BasisState:
     """One Fock x Dicke product state |nu> x |j, n_e - j>."""

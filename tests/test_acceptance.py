@@ -18,7 +18,6 @@ from dickelab.model import (
     ModelParams,
     build_hamiltonian,
     build_sector_basis,
-    sector_dimension,
 )
 from dickelab.observables import eigen_observables
 from dickelab.sas import (
@@ -84,9 +83,9 @@ def test_criterion_01_symmetry_exactness_and_dimensions():
                 d_even = build_sector_basis(p, lam_max, "even").size
                 d_odd = build_sector_basis(p, lam_max, "odd").size
                 d_all = build_sector_basis(p, lam_max, None).size
-                assert d_even == sector_dimension(n_atoms, lam_max, "even")
-                assert d_odd == sector_dimension(n_atoms, lam_max, "odd")
-                assert d_all == sector_dimension(n_atoms, lam_max, None)
+                assert d_even == brute.sector_dimension(n_atoms, lam_max, "even")
+                assert d_odd == brute.sector_dimension(n_atoms, lam_max, "odd")
+                assert d_all == brute.sector_dimension(n_atoms, lam_max, None)
                 assert d_even + d_odd == d_all
 
 

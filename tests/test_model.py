@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import brute
@@ -12,7 +12,6 @@ from dickelab.model import (
     build_hamiltonian,
     build_sector_basis,
     gamma_critical,
-    sector_dimension,
 )
 
 
@@ -132,17 +131,17 @@ class TestSectorDimensions:
         d_even = build_sector_basis(p, lam_max, "even").size
         d_odd = build_sector_basis(p, lam_max, "odd").size
         d_all = build_sector_basis(p, lam_max, None).size
-        assert d_even == sector_dimension(n_atoms, lam_max, "even")
-        assert d_odd == sector_dimension(n_atoms, lam_max, "odd")
-        assert d_all == sector_dimension(n_atoms, lam_max, None)
+        assert d_even == brute.sector_dimension(n_atoms, lam_max, "even")
+        assert d_odd == brute.sector_dimension(n_atoms, lam_max, "odd")
+        assert d_all == brute.sector_dimension(n_atoms, lam_max, None)
         assert d_even + d_odd == d_all
 
     def test_half_integer_closed_form_rejected(self):
         with pytest.raises(ValueError):
-            sector_dimension(5, 12, "even")
+            brute.sector_dimension(5, 12, "even")
         # the unprojected count still works for half-integer j
         p = ModelParams(1.0, 0.5, 5)
-        assert sector_dimension(5, 12, None) == build_sector_basis(p, 12, None).size
+        assert brute.sector_dimension(5, 12, None) == build_sector_basis(p, 12, None).size
 
 
 class TestHamiltonian:
@@ -264,28 +263,40 @@ class TestHamiltonian:
 
 class TestStencil:
     """The stencil against tests/brute.py's loop-built dense H, which keeps
-    its own (lambda, nu) order."""
+    its own (lambda, nu) order, on the whole truncated space or in a drawn
+    window nu >= nu_lo, ne_lo <= n_e <= ne_hi."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(1, 20),
            omega_a=st.floats(0.25, 9.0), gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
            parity=st.sampled_from(["even", "odd", None]), sigma=st.floats(-60.0, 60.0),
-           seed=st.integers(0, 2**32 - 1))
+           seed=st.integers(0, 2**32 - 1),
+           box=st.one_of(st.none(), st.tuples(st.integers(0, 21), st.integers(0, 12),
+                                              st.integers(0, 12))))
     def test_against_brute_dense(self, n_atoms, lambda_max, omega_a, gamma, parity, sigma,
-                                 seed):
+                                 seed, box):
         p = ModelParams(omega_a, gamma, n_atoms)
-        basis = build_sector_basis(p, lambda_max, parity)
+        if box is None:
+            basis = build_sector_basis(p, lambda_max, parity)
+            nu_lo, ne_lo, ne_hi = 0, 0, n_atoms
+        else:
+            nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
+            basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
         H = build_hamiltonian(p, basis).matrix
         Hb, states = brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)
-        n = len(states)
-        # index_of finds exactly brute's states, each at its own position
+        inside = [i for i, (nu, ne) in enumerate(states) if nu >= nu_lo and ne_lo <= ne <= ne_hi]
+        n = len(inside)
+        # index_of finds exactly brute's states inside the window, each at its
+        # own position, and nothing outside it
         found = {(nu, ne): basis.index_of(nu, ne)
                  for nu in range(-1, lambda_max + 2) for ne in range(-1, n_atoms + 2)}
-        pos = [found.pop(state) for state in states]
+        pos = [found.pop(states[i]) for i in inside]
         assert sorted(pos) == list(range(n)) == list(range(basis.size))
         assert set(found.values()) == {-1}
+        assume(n > 0)
+        # H in the window is the principal submatrix of brute's H on it
         dense = H.toarray()
-        assert np.array_equal(dense[np.ix_(pos, pos)], Hb)
+        assert np.array_equal(dense[np.ix_(pos, pos)], Hb[np.ix_(inside, inside)])
         X = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 3))
         scale = 1e-14 * np.abs(dense).sum(axis=1).max()
         assert np.allclose(H @ X[:, 0], dense @ X[:, 0], rtol=0.0, atol=scale)
@@ -298,6 +309,12 @@ class TestStencil:
             assert np.array_equal(band[offset, :n - offset], np.diagonal(shifted, -offset))
             assert np.all(band[offset, n - offset:] == 0.0)
         assert H.nnz == n + np.count_nonzero(dense - np.diag(np.diagonal(dense)))
+
+    def test_window_edges_rejected_outside_the_space(self):
+        p = ModelParams(1.0, 0.5, 6)
+        for edges in ((-1, 0, 6), (0, -1, 6), (0, 4, 3), (0, 0, 7)):
+            with pytest.raises(ValueError, match="window edges"):
+                build_sector_basis(p, 10, "even", *edges)
 
 
 class TestExcitationOperator:

@@ -20,7 +20,7 @@ from dickelab.solver import (
     variational_energy,
     variational_vector,
 )
-from dickelab.surface import lambda_statistics
+from dickelab.surface import atom_statistics, lambda_statistics, photon_statistics
 
 
 def _solve(params, lam_max, parity, k):
@@ -191,9 +191,37 @@ class TestConvergeGround:
         critical = 1.25 * 10 ** (1 / 3)
         seed = truncation_seed(p)["lambda_seed"]
         assert seed == int(np.ceil(13.125 + 6 * np.sqrt(11.71875 + critical ** 2) + 6))
+        # the box 5.5 sqrt(width^2 + dc^2) + 2 around each mode's mean (photons
+        # 9.375 +- 22.4, atoms 3.75 +- 19.1) covers the whole space
         assert truncation_seed(p) == {"lambda_seed": seed,
                                       "lambda_mean": 13.125,
-                                      "lambda_width": pytest.approx(np.sqrt(11.71875))}
+                                      "lambda_width": pytest.approx(np.sqrt(11.71875)),
+                                      "nu_lo": 0, "ne_lo": 0, "ne_hi": 10}
+
+    # superradiant sectors are boxed in, the normal phase and the separatrix not
+    @pytest.mark.parametrize("x", [2.0, -2.0, 1.0, 0.5])
+    def test_window_edges_from_the_mode_statistics(self, x):
+        n = 200
+        p = ModelParams.from_ratio(1.0, x, n)
+        record = truncation_seed(p)
+        if abs(x) <= 1.0:
+            assert (record["nu_lo"], record["ne_lo"], record["ne_hi"]) == (0, 0, n)
+            return
+        # the coherent photon number and its Poisson width, the spin coherent
+        # state's n_e = Jz + N/2 and its width, both widths floored by dc
+        mu = n * 0.25 * x ** 2 * (1.0 - x ** -4)
+        ne_mean, ne_var = 0.5 * n * (1.0 - x ** -2), 0.25 * n * (1.0 - x ** -4)
+        dc2 = (1.25 * n ** (1 / 3)) ** 2
+        nu_reach = 5.5 * np.sqrt(mu + dc2) + 2.0
+        ne_reach = 5.5 * np.sqrt(ne_var + dc2) + 2.0
+        assert photon_statistics(p) == pytest.approx((mu, np.sqrt(mu)), rel=1e-14)
+        assert atom_statistics(p) == pytest.approx((ne_mean, np.sqrt(ne_var)), rel=1e-14)
+        assert record["nu_lo"] == int(np.floor(mu - nu_reach)) > 0
+        assert record["ne_lo"] == int(np.floor(ne_mean - ne_reach)) > 0
+        assert record["ne_hi"] == int(np.ceil(ne_mean + ne_reach)) < n
+        # the excitation number's statistics are the sums of the modes'
+        assert lambda_statistics(p) == pytest.approx((mu + ne_mean, np.sqrt(mu + ne_var)),
+                                                     rel=1e-14)
 
     def test_even_odd_near_degenerate_above_transition(self):
         p = ModelParams(1.0, 1.0, 20)
@@ -447,8 +475,8 @@ class TestOneVerifiedSolve:
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 
     # the README's range: at x = 2 both parities converge at the default cap
-    # up to N = 231, the widest band it factors (33k states); at N = 232 the
-    # odd sector's top shell leaks too much
+    # up to N = 231 (12k states in the window); at N = 232 the odd sector's
+    # top shell leaks too much
     @pytest.mark.parametrize("n_atoms,parity", [(231, "even"), (231, "odd"), (232, "odd")])
     def test_default_cap_range_at_x_2(self, n_atoms, parity):
         p = ModelParams.from_ratio(1.0, 2.0, n_atoms)
@@ -463,12 +491,30 @@ class TestOneVerifiedSolve:
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, parity)
         diag = err.value.diagnostics
-        assert diag["dim"] == err.value.best.basis.size > 33000
+        assert diag["dim"] == err.value.best.basis.size > 11000
         assert diag["path"] == "variational shift-invert"
         assert diag["residuals"][0] <= RESIDUAL_TOL
         energy = abs(err.value.best.eigenvalues[0])
         assert solver.TRUNCATION_SAFETY * diag["truncation_estimate"][0] > 1e-8 * energy
         assert [lam for lam, _ in diag["history"]] == [cap]
+
+    def test_error_carries_the_window_edges(self, monkeypatch):
+        # two solves below the seed: the box widens by 2 with lambda_max
+        p = ModelParams.from_ratio(1.0, 2.0, 200)
+        seed = truncation_seed(p)
+        edges = {key: seed[key] for key in ("nu_lo", "ne_lo", "ne_hi")}
+        assert 0 < edges["nu_lo"] and 0 < edges["ne_lo"] and edges["ne_hi"] < 200
+        _seed_at(monkeypatch, 300)
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, "even", lambda_cap=302)
+        diag = err.value.diagnostics
+        assert {key: diag[key] for key in edges} == edges
+        assert [lam for lam, _ in diag["history"]] == [300, 302]
+        basis = err.value.best.basis
+        assert (basis.nu_lo, basis.ne_lo, basis.ne_hi) == (
+            edges["nu_lo"] - 2, edges["ne_lo"] - 2, edges["ne_hi"] + 2)
+        assert diag["dim"] == basis.size
+        assert basis.size < build_sector_basis(p, 302, "even").size
 
     def test_diagnostics_carry_the_seed(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
@@ -486,6 +532,35 @@ class TestOneVerifiedSolve:
             converge_ground(p, "even")
         assert {key: err.value.diagnostics[key] for key in seed} == seed
         assert err.value.diagnostics["dim"] > solver.DENSE_CUTOFF
+
+
+class TestWindow:
+    """The box around the superradiant state against the whole truncated space."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(omega_a=st.floats(0.25, 9.0), n_atoms=st.integers(2, 60), x=st.floats(1.01, 2.5),
+           parity=st.sampled_from(["even", "odd"]))
+    def test_accepted_window_agrees_with_the_whole_space(self, omega_a, n_atoms, x, parity):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        tol = 1e-8
+        res = converge_ground(p, parity, tol=tol, lambda_cap=5000)
+        whole = _solve(p, res.lambda_max + 40, parity, 1).eigenvalues[0]
+        energy = res.eigenvalues[0]
+        assert abs(energy - whole) <= tol * abs(whole)
+        # the window is a subspace: its energy lies above, up to rounding
+        assert energy >= whole - 1e-12 * abs(whole)
+
+    @pytest.mark.parametrize("omega_a,n_atoms,x,parity", [
+        (1.0, 40, 0.5, "even"), (9.0, 15, 0.98, "odd"), (1.0, 40, 1.0, "odd"),
+        (0.25, 60, -0.7, "odd"), (4.0, 31, 1.0, "even")])
+    def test_normal_phase_and_separatrix_keep_the_whole_space(self, omega_a, n_atoms, x,
+                                                              parity):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        res = converge_ground(p, parity)
+        assert (res.basis.nu_lo, res.basis.ne_lo, res.basis.ne_hi) == (0, 0, n_atoms)
+        again = _solve(p, res.lambda_max, parity, 1)
+        assert np.array_equal(again.eigenvalues, res.eigenvalues)
+        assert np.array_equal(again.eigenvectors, res.eigenvectors)
 
 
 class TestShiftProof:
