@@ -6,10 +6,10 @@ to one bosonic mode, with all frequencies in units of the field frequency:
     H = a'a + omega_a * Jz + (gamma / sqrt(N)) * (a' + a) * (J+ + J-)
 
 The excitation number Lambda = a'a + Jz + j is conserved modulo 2, so H is
-block diagonal in the parity (-1)**Lambda.  Bases are truncated at a maximum
-excitation lambda_max and, optionally, to a box nu >= nu_lo,
-ne_lo <= n_e <= ne_hi; couplings that would leave the window are dropped
-(variational truncation), never wrapped.
+block diagonal in the parity (-1)**Lambda, and every basis is one parity
+sector.  Bases are truncated at a maximum excitation lambda_max and,
+optionally, to a box nu >= nu_lo, ne_lo <= n_e <= ne_hi; couplings that
+would leave the window are dropped (variational truncation), never wrapped.
 """
 from __future__ import annotations
 
@@ -74,37 +74,37 @@ class ModelParams:
 
 
 class SectorBasis:
-    """Ordered basis of a parity sector (or of the full truncated space) in
-    the window lambda <= lambda_max, nu >= nu_lo, ne_lo <= n_e <= ne_hi.
+    """Ordered basis of a parity sector in the window lambda <= lambda_max,
+    nu >= nu_lo, ne_lo <= n_e <= ne_hi.
 
     States are ordered nu-major, by ascending nu and then ascending n_e,
     which makes eigenvectors reproducible across runs and H banded, since H
     couples each nu column only to its two neighbours.  Column nu starts at
     ``offsets[nu]`` (the columns below nu_lo are empty) and holds
-    n_e = first, first + step, ... up to min(ne_hi, lambda_max - nu): step 2
-    in a parity sector, whose parity and that of nu fix the first n_e at or
-    above ne_lo, and step 1 in the unprojected basis.  The default window,
-    nu_lo = ne_lo = 0 and ne_hi = N, is the whole truncated space.
-    ``parity`` is "even", "odd", or None for the unprojected basis.
+    n_e = first, first + 2, ... up to min(ne_hi, lambda_max - nu), where the
+    parity and that of nu fix the first n_e at or above ne_lo.  The default
+    window, nu_lo = ne_lo = 0 and ne_hi = N, is the whole truncated sector.
+    ``parity`` is "even" or "odd".
     """
 
-    def __init__(self, params: ModelParams, lambda_max: int, parity: str | None,
+    def __init__(self, params: ModelParams, lambda_max: int, parity: str,
                  nu_lo: int = 0, ne_lo: int = 0, ne_hi: int | None = None):
+        if parity not in PARITIES:
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
         self.params = params
         self.lambda_max = int(lambda_max)
         self.parity = parity
         self.nu_lo, self.ne_lo = int(nu_lo), int(ne_lo)
         self.ne_hi = params.n_atoms if ne_hi is None else int(ne_hi)
-        self.step = step = 1 if parity is None else 2
         nus = np.arange(lambda_max + 1)
-        first = ne_lo + (0 if parity is None else (nus + ne_lo + (parity == "odd")) % 2)
-        counts = np.maximum((np.minimum(self.ne_hi, lambda_max - nus) - first) // step + 1, 0)
+        first = ne_lo + (nus + ne_lo + (parity == "odd")) % 2
+        counts = np.maximum((np.minimum(self.ne_hi, lambda_max - nus) - first) // 2 + 1, 0)
         counts[:nu_lo] = 0
         self.offsets = np.zeros(lambda_max + 2, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
         self.nu = np.repeat(nus, counts)
-        self.ne = np.repeat(first - step * self.offsets[:-1], counts) \
-            + step * np.arange(self.offsets[-1])
+        self.ne = (np.repeat(first - 2 * self.offsets[:-1], counts)
+                   + 2 * np.arange(self.offsets[-1]))
         self.lam = self.nu + self.ne
 
     @property
@@ -115,19 +115,17 @@ class SectorBasis:
         """Position of (nu, n_e) in the ordering, or -1 if outside the window."""
         if not (nu >= self.nu_lo and self.ne_lo <= n_e <= self.ne_hi
                 and nu + n_e <= self.lambda_max
-                and (nu + n_e - (self.parity == "odd")) % self.step == 0):
+                and (nu + n_e - (self.parity == "odd")) % 2 == 0):
             return -1
-        return int(self.offsets[nu]) + (n_e - self.ne_lo) // self.step
+        return int(self.offsets[nu]) + (n_e - self.ne_lo) // 2
 
 
-def build_sector_basis(params: ModelParams, lambda_max: int, parity: str | None = None,
+def build_sector_basis(params: ModelParams, lambda_max: int, parity: str,
                        nu_lo: int = 0, ne_lo: int = 0, ne_hi: int | None = None) -> SectorBasis:
-    """Enumerate the (parity-filtered) basis in the window lambda <= lambda_max,
+    """Enumerate the even or odd sector in the window lambda <= lambda_max,
     nu >= nu_lo, ne_lo <= n_e <= ne_hi (ne_hi = N when None)."""
     if lambda_max < 0:
         raise ValueError(f"lambda_max must be >= 0, got {lambda_max}")
-    if parity not in (None, "even", "odd"):
-        raise ValueError(f"parity must be 'even', 'odd' or None, got {parity!r}")
     hi = params.n_atoms if ne_hi is None else ne_hi
     if not (nu_lo >= 0 and 0 <= ne_lo <= hi <= params.n_atoms):
         raise ValueError(f"window edges need nu_lo >= 0 and 0 <= ne_lo <= ne_hi <= N, got "
@@ -200,10 +198,11 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
     Diagonal: nu + omega_a (n_e - j).  Off-diagonal: (a'+a)(J+ + J-) scaled by
     g = gamma/sqrt(N), stored once as the raising couplings a'J+ and a'J-,
     which carry (nu, n_e) to (nu+1, n_e+-1) in the next nu column, at
-    offsets[nu+1] + (n_e+-1 - ne_lo) // step; in nu-major order every target
-    follows its source.  Couplings that leave the window are dropped.  Every coupling changes lambda by 0 or +2, so parity is
-    preserved exactly.  With g = 0 there are no couplings; otherwise none is
-    zero, since every amplitude is at least |g|.
+    offsets[nu+1] + (n_e+-1 - ne_lo) // 2; in nu-major order every target
+    follows its source.  Couplings that leave the window are dropped.  Every
+    coupling changes lambda by 0 or +2, so parity is preserved exactly.  With
+    g = 0 there are no couplings; otherwise none is zero, since every
+    amplitude is at least |g|.
     """
     if basis.params != params:
         raise ValueError("basis was built for different model parameters")
@@ -219,7 +218,7 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
     nu_up = nu[src] + 1
     ne_plus, ne_minus = ne[plus], ne[minus]
     tgt = basis.offsets[nu_up] + (np.concatenate((ne_plus + 1, ne_minus - 1))
-                                  - basis.ne_lo) // basis.step
+                                  - basis.ne_lo) // 2
     val = g * np.sqrt(nu_up) * np.concatenate((_spin_plus_amp(ne_plus, n_atoms),
                                                _spin_minus_amp(ne_minus, n_atoms)))
     return OperatorMatrix(Stencil(diag, src, tgt, val), basis)

@@ -25,7 +25,8 @@ from scipy.special import gammaln
 from .errors import ProjectionAnnihilationError, TruncationError
 from .model import ModelParams
 from .observables import ObservableSet, grid_observables
-from .surface import f_function, k_ratio, one_minus_x4, photon_statistics
+from .surface import (atom_statistics, f_function, k_ratio, lambda_statistics, one_minus_x4,
+                      photon_statistics)
 
 ODD_LIMIT_WINDOW = 1e-8  # |x|-1 below this: use exact x->1 limits (odd branch)
 
@@ -79,7 +80,7 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
     omx4 = one_minus_x4(xa)
     mu = photon_number_coherent(params)
     jz = -0.5 * n * xa ** -2
-    lam = 0.5 * n * (1.0 - xa ** -2 + 2.0 * gc ** 2 * xa ** 2 * omx4)
+    lam, lam_width = lambda_statistics(params)
     return ObservableSet(
         q=-math.sqrt(2.0 * n) * gc * params.x * math.sqrt(omx4),
         p=0.0,
@@ -94,7 +95,7 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
         var_jy=0.25 * n,
         var_jz=0.25 * n * omx4,
         var_n_photons=mu,
-        var_lam=0.5 * n * (0.5 + 2.0 * gc ** 2 * xa ** 2) * omx4,
+        var_lam=lam_width ** 2,
         jz_n_photons=jz * mu,
         jx_q=-math.sqrt(n ** 3 / 2.0) * gc * params.x * omx4,
     )
@@ -262,11 +263,31 @@ def _log_amplitude(params: ModelParams, nu, ne):
             + 0.5 * (nu + ne) * log_one_minus + 0.5 * (n + nu - ne) * log_one_plus)
 
 
-def _log_weights(params: ModelParams, nu_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """_log_amplitude on the (nu, n_e) grid, and lambda = nu + n_e there."""
+def _projected_log_amplitude(params: ModelParams, parity: str,
+                             nu_max: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+    """(nu_max, log|c|, mask) of the normalized projected state on the
+    (nu, n_e) grid, nu <= nu_max (default_nu_max when None): the log
+    magnitude of every coefficient before truncation, and the cells of the
+    state's parity.  At x = 1 the even state is the vacuum and the odd one
+    raises ProjectionAnnihilationError."""
+    sgn = _sgn(parity)
+    xa = _require_superradiant(params)
+    n = params.n_atoms
+    if xa == 1.0:
+        if parity == "odd":
+            raise ProjectionAnnihilationError(
+                "odd projection annihilates the coherent state at x = 1")
+        return 0, np.zeros((1, n + 1)), np.arange(n + 1)[None, :] == 0
+    if nu_max is None:
+        nu_max = default_nu_max(params)
     nu = np.arange(nu_max + 1)[:, None]
-    ne = np.arange(params.n_atoms + 1)[None, :]
-    return _log_amplitude(params, nu, ne), (nu + ne)
+    ne = np.arange(n + 1)[None, :]
+    log_f = f_function(params).log_f
+    log_denom = (math.log1p(sgn * math.exp(log_f)) if parity == "even"
+                 else math.log(-math.expm1(log_f)))
+    log_norm = (0.5 * (1.0 - n) * math.log(2.0) - 0.5 * photon_number_coherent(params)
+                - 0.5 * log_denom)
+    return nu_max, _log_amplitude(params, nu, ne) + log_norm, (nu + ne) % 2 == (parity == "odd")
 
 
 def build_sas_state(params: ModelParams, parity: str, nu_max: int | None = None) -> SASStateVector:
@@ -276,26 +297,8 @@ def build_sas_state(params: ModelParams, parity: str, nu_max: int | None = None)
     nu_max (default covers the Poisson bulk to 20 sigma) and renormalized;
     a truncation norm defect above 1e-8 raises TruncationError.
     """
-    sgn = _sgn(parity)
-    xa = _require_superradiant(params)
-    n = params.n_atoms
-    if xa == 1.0:
-        if parity == "odd":
-            raise ProjectionAnnihilationError(
-                "odd projection annihilates the coherent state at x = 1")
-        grid = np.zeros((1, n + 1))
-        grid[0, 0] = 1.0
-        return SASStateVector(params, parity, 0, grid, 0.0)
-    if nu_max is None:
-        nu_max = default_nu_max(params)
-    half, lam = _log_weights(params, nu_max)
-    mu = photon_number_coherent(params)
-    log_f = f_function(params).log_f
-    log_norm = (math.log(2.0) - 0.5 * (n + 1) * math.log(2.0) - 0.5 * mu
-                - 0.5 * (math.log1p(sgn * math.exp(log_f))
-                         if parity == "even" else math.log(-math.expm1(log_f))))
-    allowed = (lam % 2 == 0) if parity == "even" else (lam % 2 == 1)
-    coeffs = np.where(allowed, np.exp(half + log_norm), 0.0)
+    nu_max, log_c, allowed = _projected_log_amplitude(params, parity, nu_max)
+    coeffs = np.where(allowed, np.exp(log_c), 0.0)
     coeffs *= _photon_sign(params) ** np.arange(nu_max + 1)[:, None]
     norm_sq = float(np.sum(coeffs * coeffs))
     defect = 1.0 - norm_sq
@@ -343,28 +346,10 @@ class JointDistribution:
 
 def joint_distribution_sas(params: ModelParams, parity: str,
                            nu_max: int | None = None) -> JointDistribution:
-    """Closed-form joint distribution, using x^N sqrt(F) = exp(-mu)."""
-    sgn = _sgn(parity)
-    xa = _require_superradiant(params)
-    n = params.n_atoms
-    if xa == 1.0:
-        if parity == "odd":
-            raise ProjectionAnnihilationError(
-                "odd projection annihilates the coherent state at x = 1")
-        m = np.zeros((1, n + 1))
-        m[0, 0] = 1.0
-        return JointDistribution(params, parity, 0, m)
-    if nu_max is None:
-        nu_max = default_nu_max(params)
-    half, lam = _log_weights(params, nu_max)
-    mu = photon_number_coherent(params)
-    log_f = f_function(params).log_f
-    log_denom = (math.log1p(sgn * math.exp(log_f)) if parity == "even"
-                 else math.log(-math.expm1(log_f)))
-    allowed = (lam % 2 == 0) if parity == "even" else (lam % 2 == 1)
-    log_p = 2.0 * half + (1.0 - n) * math.log(2.0) - mu - log_denom
-    matrix = np.where(allowed, np.exp(log_p), 0.0)
-    return JointDistribution(params, parity, nu_max, matrix)
+    """Closed-form joint distribution |c|^2, using x^N sqrt(F) = exp(-mu)."""
+    nu_max, log_c, allowed = _projected_log_amplitude(params, parity, nu_max)
+    return JointDistribution(params, parity, nu_max,
+                             np.where(allowed, np.exp(2.0 * log_c), 0.0))
 
 
 def marginal_photon(params: ModelParams, parity: str,
@@ -424,15 +409,13 @@ class GaussianLimits:
 
 
 def gaussian_limits(params: ModelParams) -> GaussianLimits:
-    xa = _require_superradiant(params, strict=True)
-    n = params.n_atoms
-    mu = photon_number_coherent(params)
-    return GaussianLimits(
-        photon_mean=mu,
-        photon_var=mu,
-        atom_mean=0.5 * n * (1.0 - xa ** -2),
-        atom_var=0.25 * n * one_minus_x4(xa),
-    )
+    """The coherent state's photon and atom means, with the Poisson variance
+    mu (equal to the mean) and the atom width squared."""
+    _require_superradiant(params, strict=True)
+    mu = photon_statistics(params)[0]
+    atom_mean, atom_width = atom_statistics(params)
+    return GaussianLimits(photon_mean=mu, photon_var=mu, atom_mean=atom_mean,
+                          atom_var=atom_width ** 2)
 
 
 def gaussian_sup_distance(pmf: np.ndarray, mean: float, var: float) -> float:

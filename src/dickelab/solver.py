@@ -3,15 +3,16 @@
 Each sector has one solver.  Sectors of up to DENSE_CUTOFF states use dense
 LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
 supplies: (1 + omega_a)/2 below its closed-form variational energy, started
-from the variational state; the parity-free basis, which has no variational
-state, uses one below the Gershgorin bound.  The basis is nu-major, so H,
-given as its diagonal and raising couplings, fills the lower band of
-H - sigma I directly, and LAPACK's banded Cholesky of that band both proves
-the shift and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly
-when H - sigma I is positive definite, that is when every eigenvalue lies
-above sigma.  ARPACK stops as soon as its residual bound meets the
-contract ||H v - E v|| <= 1e-8, and every result is residual-checked
-against it.  A rejected shift, a solver error or a missed residual raises
+from the variational state (a fixed-seed vector where that state is
+degenerate or annihilated).  The basis is nu-major, so H, given as its
+diagonal and raising couplings, fills the lower band of H - sigma I
+directly, and LAPACK's banded Cholesky of that band both proves the shift
+and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly when
+H - sigma I is positive definite, that is when every eigenvalue lies above
+sigma.  ARPACK stops as soon as its residual bound, scaled by
+||H - sigma I||_1 from the Gershgorin radii, meets the contract
+||H v - E v|| <= 1e-8, and every result is residual-checked against it.  A
+rejected shift, a solver error or a missed residual raises
 ConvergenceError; nothing is retried.
 
 converge_ground seeds the truncation from the closed-form mean and width of
@@ -60,14 +61,14 @@ class SpectralResult:
     ``eigenvalues`` are ascending, eigenvectors unit-norm columns in the
     SectorBasis ordering with the largest-magnitude coefficient positive.
     ``history`` records (lambda_max, eigenvalues) per truncation step.
-    ``path`` names the one solver the sector was given ("dense",
-    "variational shift-invert" or "gershgorin shift-invert").
+    ``path`` names the one solver the sector was given ("dense" or
+    "variational shift-invert").
     ``truncation_estimate`` is the second-order energy leak per eigenvalue,
     summed over the window's edge_leaks, and ``seed`` the truncation_seed
     record (both set by converge_ground).
     """
 
-    parity: str | None
+    parity: str
     lambda_max: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -156,10 +157,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _gershgorin_lower(H: Stencil) -> float:
-    return float((H.diag - H.radii()).min())
-
-
 def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
     """LAPACK's lower band storage of H - sigma I, A[i, j] at band[i - j, j].
 
@@ -193,14 +190,13 @@ def _verified_shift_invert(H: Stencil, basis: SectorBasis, k: int, sigma: float)
 
 
 def _start_vector(basis: SectorBasis) -> np.ndarray:
-    """The variational state of a parity sector, else a fixed-seed vector,
-    so that equal inputs give equal bits."""
-    if basis.parity is not None:
-        try:
-            return variational_vector(basis.params, basis.parity, basis)
-        except (ValueError, ProjectionAnnihilationError):  # degenerate, annihilated
-            pass
-    return np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
+    """The variational state, else (the degenerate odd state at gamma = 0, the
+    annihilated one at x = 1) a fixed-seed vector, so that equal inputs give
+    equal bits."""
+    try:
+        return variational_vector(basis.params, basis.parity, basis)
+    except (ValueError, ProjectionAnnihilationError):
+        return np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
 
 
 def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
@@ -208,9 +204,8 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
 
     Up to DENSE_CUTOFF states, or when k >= dim - 1, dense LAPACK solves the
     sector.  Above it one _verified_shift_invert runs from _start_vector at
-    the shift the sector supplies: shift_margin below its variational energy
-    for a parity sector, one below the Gershgorin bound for the parity-free
-    basis.  The shift is accepted only when the Cholesky factorization of
+    the shift the sector supplies, shift_margin below its variational energy.
+    The shift is accepted only when the Cholesky factorization of
     H - sigma I succeeds, which proves it below every eigenvalue.  A rejected
     shift (named with the leading minor that is not positive definite), an
     ARPACK or LAPACK error or a residual above RESIDUAL_TOL raises
@@ -224,12 +219,9 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
     residuals = None
     if dim <= DENSE_CUTOFF or k >= dim - 1:
         path = "dense"
-    elif parity is not None:
+    else:
         path = "variational shift-invert"
         sigma = variational_energy(params, parity) - shift_margin(params)
-    else:
-        path = "gershgorin shift-invert"
-        sigma = _gershgorin_lower(H) - 1.0
     try:
         if path == "dense":
             vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, k - 1))
@@ -304,17 +296,17 @@ def _leak(r: np.ndarray, diag: np.ndarray, eigenvalues: np.ndarray) -> np.ndarra
     return (r ** 2 / gap).sum(axis=0)
 
 
-def _leak_into(params: ModelParams, nu: np.ndarray, ne: np.ndarray, amp: np.ndarray,
-               psi: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """The leak into the states (nu, n_e) outside the window, each fed with
-    amplitude amp by a window state of coefficients psi; a state fed twice
-    sums both."""
-    width = params.n_atoms + 2
-    keys, where = np.unique(nu * width + ne, return_inverse=True)
-    r = np.zeros((keys.size, eigenvalues.size))
-    np.add.at(r, where, amp[:, None] * psi)
-    nu, ne = np.divmod(keys, width)
-    return _leak(r, nu + params.omega_a * (ne - params.j), eigenvalues)
+def _leak_along(pos: np.ndarray, diag: np.ndarray, amp: np.ndarray, psi: np.ndarray,
+                eigenvalues: np.ndarray) -> np.ndarray:
+    """The leak into states outside the window on one line of states, whose
+    diagonal is diag: the state at pos[i] along it is fed with amplitude
+    amp[i] by a window state of coefficients psi[i], and a state fed twice
+    sums both.  Only the fed states are summed."""
+    fed = np.zeros(diag.size, dtype=bool)
+    fed[pos] = True
+    r = np.stack([np.bincount(pos, w, diag.size)[fed] for w in (amp[:, None] * psi).T],
+                 axis=1)
+    return _leak(r, diag[fed], eigenvalues)
 
 
 def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
@@ -325,41 +317,51 @@ def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
 
     Across the lambda edge only a'J+ leaves: it carries the top shell
     lambda_top = max(lambda) (which differs from lambda_max when their
-    parities differ) to lambda_top + 2 with amplitude
-    g sqrt(nu+1) sqrt((N-n_e)(n_e+1)), g = gamma/sqrt(N), and each state
-    there is fed by one top-shell state.  Each box edge present adds an
-    entry: a J+- carry the first column to nu_lo - 1 ("nu_lo"), a'J- and aJ-
-    carry n_e = ne_lo to ne_lo - 1 ("ne_lo"), and a'J+ and aJ+ carry
-    n_e = ne_hi to ne_hi + 1 below lambda_max ("ne_hi"); a state outside
-    gathers up to two couplings, and one outside several edges counts for
-    the first of them.  Only these edge states are read.
+    parities differ), the last state of some columns, to lambda_top + 2 with
+    amplitude g sqrt(nu+1) sqrt((N-n_e)(n_e+1)), g = gamma/sqrt(N), and each
+    state there is fed by one top-shell state.  Each box edge present adds
+    an entry: a J+- carry the first column to the line nu = nu_lo - 1
+    ("nu_lo"), a'J- and aJ- carry n_e = ne_lo to the line ne_lo - 1
+    ("ne_lo"), and a'J+ and aJ+ carry n_e = ne_hi to the line ne_hi + 1
+    below lambda_max ("ne_hi"); a state outside gathers up to two couplings,
+    and one outside several edges counts for the first of them.  Only these
+    edge states are read, found from the column offsets.
     """
     n_atoms, omega, j = params.n_atoms, params.omega_a, params.j
     g = params.gamma / math.sqrt(n_atoms)
-    nu, ne, psi = basis.nu, basis.ne, eigenvectors
-    top = basis.lam == basis.lam.max()
+    nu, ne, psi, offsets = basis.nu, basis.ne, eigenvectors, basis.offsets
+    last = offsets[1:][offsets[1:] > offsets[:-1]] - 1  # the last state of each column
+    top = last[basis.lam[last] == basis.lam[last].max()]
     amp = g * np.sqrt(nu[top] + 1.0) * _spin_plus_amp(ne[top], n_atoms)
     leaks = {"lambda": _leak(amp[:, None] * psi[top, :],
                              nu[top] + 1.0 + omega * (ne[top] + 1.0 - j), eigenvalues)}
     if basis.nu_lo > 0:
-        col = slice(basis.offsets[basis.nu_lo], basis.offsets[basis.nu_lo + 1])
+        col = slice(offsets[basis.nu_lo], offsets[basis.nu_lo + 1])
         ne_h = np.concatenate((ne[col] + 1, ne[col] - 1))
         amp = g * math.sqrt(basis.nu_lo) * np.concatenate(
             (_spin_plus_amp(ne[col], n_atoms), _spin_minus_amp(ne[col], n_atoms)))
         keep = (ne_h >= 0) & (ne_h <= n_atoms)
-        leaks["nu_lo"] = _leak_into(params, basis.nu_lo - 1, ne_h[keep], amp[keep],
-                                    np.concatenate((psi[col], psi[col]))[keep], eigenvalues)
+        leaks["nu_lo"] = _leak_along(ne_h[keep],
+                                     basis.nu_lo - 1 + omega * (np.arange(n_atoms + 1) - j),
+                                     amp[keep], np.concatenate((psi[col], psi[col]))[keep],
+                                     eigenvalues)
+    odd = basis.parity == "odd"
     for name, present, edge, dne, spin_amp in (
             ("ne_lo", basis.ne_lo > 0, basis.ne_lo, -1, _spin_minus_amp),
             ("ne_hi", basis.ne_hi < n_atoms, basis.ne_hi, 1, _spin_plus_amp)):
         if not present:
             continue
-        src = np.flatnonzero(ne == edge)
-        nu_h = np.concatenate((nu[src] + 1, nu[src] - 1))
-        amp = g * spin_amp(edge, n_atoms) * np.sqrt(np.concatenate((nu[src] + 1.0, nu[src])))
+        # n_e = edge in every column nu >= nu_lo of the sector's parity up to lambda_max
+        nu_src = np.arange(basis.nu_lo + (basis.nu_lo + edge + odd) % 2,
+                           basis.lambda_max - edge + 1, 2)
+        src = offsets[nu_src] + (edge - basis.ne_lo) // 2
+        nu_h = np.concatenate((nu_src + 1, nu_src - 1))
+        amp = g * spin_amp(edge, n_atoms) * np.sqrt(np.concatenate((nu_src + 1.0, nu_src)))
         keep = (nu_h >= basis.nu_lo) & (nu_h + edge + dne <= basis.lambda_max)
-        leaks[name] = _leak_into(params, nu_h[keep], edge + dne, amp[keep],
-                                 np.concatenate((psi[src], psi[src]))[keep], eigenvalues)
+        leaks[name] = _leak_along(nu_h[keep],
+                                  np.arange(basis.lambda_max + 2) + omega * (edge + dne - j),
+                                  amp[keep], np.concatenate((psi[src], psi[src]))[keep],
+                                  eigenvalues)
     return leaks
 
 

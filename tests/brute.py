@@ -91,12 +91,12 @@ def excitation_operator(basis):
     return L
 
 
-def parity_matrix(basis):
-    """Dense diagonal parity operator (-1)**lambda on a SectorBasis."""
-    dim = len(basis.nu)
+def parity_matrix(states):
+    """Dense diagonal parity operator (-1)**lambda on a list of (nu, n_e)."""
+    dim = len(states)
     P = np.zeros((dim, dim))
-    for i in range(dim):
-        P[i, i] = 1.0 if basis_state(basis, i).parity == "even" else -1.0
+    for i, (nu, ne) in enumerate(states):
+        P[i, i] = 1.0 if BasisState(nu, ne).parity == "even" else -1.0
     return P
 
 
@@ -155,6 +155,29 @@ def coo_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
                 vals += [v, v]
     dim = len(states)
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr(), states
+
+
+def side_by_side(states, sectors):
+    """Dense matrices on sector bases placed on the rows and columns of
+    states, zero between the sectors.  ``sectors`` holds (basis, matrix)
+    pairs; basis.index_of gives a state's row of matrix, or -1 if the basis
+    lacks it.  Every state must lie in exactly one basis."""
+    full = np.zeros((len(states), len(states)))
+    owners = [0] * len(states)
+    for basis, matrix in sectors:
+        rows, cols = [], []
+        for i, (nu, ne) in enumerate(states):
+            k = basis.index_of(nu, ne)
+            if k >= 0:
+                rows.append(i)
+                cols.append(k)
+                owners[i] += 1
+        if sorted(cols) != list(range(len(matrix))):
+            raise ValueError("a sector holds a state outside the given states")
+        full[np.ix_(rows, rows)] = matrix[np.ix_(cols, cols)]
+    if owners != [1] * len(states):
+        raise ValueError("every state must lie in exactly one sector")
+    return full
 
 
 def field_matrices(nu_max):

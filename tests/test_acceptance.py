@@ -15,6 +15,7 @@ from dickelab.compare import (
     verify_table,
 )
 from dickelab.model import (
+    PARITIES,
     ModelParams,
     build_hamiltonian,
     build_sector_basis,
@@ -68,11 +69,15 @@ def _superradiant_point(params):
 
 def test_criterion_01_symmetry_exactness_and_dimensions():
     with _Timer("criterion 1: parity exactness + closed-form dimensions", 1.0):
+        # brute's H on the whole space is the two sectors side by side, and it
+        # commutes with the parity exactly
         params = ModelParams(1.0, 1.0, 10)
-        basis = build_sector_basis(params, 60, None)
-        H = build_hamiltonian(params, basis).matrix
-        P = brute.parity_matrix(basis)
-        residual = np.abs(H @ P - P @ H.toarray())
+        H, states = brute.dense_hamiltonian(1.0, 1.0, 10, 60, None)
+        sectors = [(basis, build_hamiltonian(params, basis).toarray())
+                   for basis in (build_sector_basis(params, 60, parity) for parity in PARITIES)]
+        assert np.array_equal(brute.side_by_side(states, sectors), H)
+        P = brute.parity_matrix(states)
+        residual = np.abs(H @ P - P @ H)
         assert residual.max() == 0.0
         for j in range(1, 11):
             n_atoms = 2 * j
@@ -80,13 +85,14 @@ def test_criterion_01_symmetry_exactness_and_dimensions():
             for lam_max in (0, 1, 2, 3, 5, 2 * j - 1, 2 * j, 2 * j + 1, 40, 60):
                 if lam_max < 0:
                     continue
-                d_even = build_sector_basis(p, lam_max, "even").size
-                d_odd = build_sector_basis(p, lam_max, "odd").size
-                d_all = build_sector_basis(p, lam_max, None).size
-                assert d_even == brute.sector_dimension(n_atoms, lam_max, "even")
-                assert d_odd == brute.sector_dimension(n_atoms, lam_max, "odd")
-                assert d_all == brute.sector_dimension(n_atoms, lam_max, None)
-                assert d_even + d_odd == d_all
+                even, odd = ({(int(nu), int(ne)) for nu, ne in zip(basis.nu, basis.ne)}
+                             for basis in (build_sector_basis(p, lam_max, parity)
+                                           for parity in PARITIES))
+                full = brute.enumerate_states(n_atoms, lam_max, None)
+                assert even.isdisjoint(odd) and even | odd == set(full)
+                assert len(even) == brute.sector_dimension(n_atoms, lam_max, "even")
+                assert len(odd) == brute.sector_dimension(n_atoms, lam_max, "odd")
+                assert len(full) == brute.sector_dimension(n_atoms, lam_max, None)
 
 
 def test_criterion_02_variational_bound():

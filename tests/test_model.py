@@ -8,11 +8,41 @@ from hypothesis import strategies as st
 import brute
 from dickelab import model, solver
 from dickelab.model import (
+    PARITIES,
     ModelParams,
     build_hamiltonian,
     build_sector_basis,
     gamma_critical,
 )
+
+
+def _states(basis):
+    return {(int(nu), int(ne)) for nu, ne in zip(basis.nu, basis.ne)}
+
+
+def _sectors_in_brute_order(p, lambda_max):
+    """The even and odd sector Hamiltonians side by side on the rows and
+    columns of brute's states, with zeros between the sectors; brute's
+    loop-built H on the whole truncated space; and brute's states."""
+    Hb, states = brute.dense_hamiltonian(p.omega_a, p.gamma, p.n_atoms, lambda_max, None)
+    sectors = [(basis, build_hamiltonian(p, basis).toarray())
+               for basis in (build_sector_basis(p, lambda_max, parity) for parity in PARITIES)]
+    return brute.side_by_side(states, sectors), Hb, states
+
+
+def _stencil_of_both_sectors(p, lambda_max):
+    """The even and odd sector stencils as one, the odd states after the even
+    ones, and the position of each state (nu, n_e) in it."""
+    even, odd = (build_sector_basis(p, lambda_max, parity) for parity in PARITIES)
+    He, Ho = (build_hamiltonian(p, basis).matrix for basis in (even, odd))
+    n = even.size
+    H = model.Stencil(np.concatenate((He.diag, Ho.diag)), np.concatenate((He.src, Ho.src + n)),
+                      np.concatenate((He.tgt, Ho.tgt + n)), np.concatenate((He.val, Ho.val)))
+
+    def index_of(nu, ne):
+        return even.index_of(nu, ne) if (nu + ne) % 2 == 0 else n + odd.index_of(nu, ne)
+
+    return H, index_of
 
 
 class TestGammaCritical:
@@ -71,24 +101,25 @@ class TestSectorBasis:
         p = ModelParams(1.0, 0.5, 2)
         even = build_sector_basis(p, 4, "even")
         odd = build_sector_basis(p, 4, "odd")
-        both = build_sector_basis(p, 4, None)
         assert even.size == 7
         assert odd.size == 5
-        assert both.size == 12
+        assert even.size + odd.size == len(brute.enumerate_states(2, 4, None)) == 12
 
     def test_matches_brute_enumeration(self):
         for n_atoms in (1, 2, 3, 7, 10):
             p = ModelParams(1.0, 0.5, n_atoms)
             for lam_max in (0, 1, 3, 8, 25):
-                for parity in ("even", "odd", None):
-                    basis = build_sector_basis(p, lam_max, parity)
-                    expected = brute.enumerate_states(n_atoms, lam_max, parity)
-                    got = {(int(a), int(b)) for a, b in zip(basis.nu, basis.ne)}
-                    assert got == set(expected)
+                even, odd = (_states(build_sector_basis(p, lam_max, parity))
+                             for parity in PARITIES)
+                assert even == set(brute.enumerate_states(n_atoms, lam_max, "even"))
+                assert odd == set(brute.enumerate_states(n_atoms, lam_max, "odd"))
+                # the sectors split the whole truncated space
+                assert even.isdisjoint(odd)
+                assert even | odd == set(brute.enumerate_states(n_atoms, lam_max, None))
 
     def test_ordering_nu_then_n_e(self):
         p = ModelParams(1.0, 0.5, 4)
-        for parity in ("odd", "even", None):
+        for parity in ("odd", "even"):
             basis = build_sector_basis(p, 9, parity)
             keys = list(zip(basis.nu.tolist(), basis.ne.tolist()))
             assert keys == sorted(keys)
@@ -103,6 +134,14 @@ class TestSectorBasis:
             assert basis.index_of(s.nu, s.n_e) == i
         assert basis.index_of(0, 1) == -1  # wrong parity
         assert basis.index_of(50, 0) == -1  # outside window
+
+    def test_every_basis_is_a_parity_sector(self):
+        p = ModelParams(1.0, 0.5, 4)
+        for parity in (None, "both"):
+            with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+                build_sector_basis(p, 10, parity)
+            with pytest.raises(ValueError, match="parity must be 'even' or 'odd'"):
+                model.SectorBasis(p, 10, parity)
 
     def test_invariants(self):
         p = ModelParams(1.0, 0.5, 6)
@@ -130,7 +169,7 @@ class TestSectorDimensions:
         p = ModelParams(1.0, 0.5, n_atoms)
         d_even = build_sector_basis(p, lam_max, "even").size
         d_odd = build_sector_basis(p, lam_max, "odd").size
-        d_all = build_sector_basis(p, lam_max, None).size
+        d_all = len(brute.enumerate_states(n_atoms, lam_max, None))
         assert d_even == brute.sector_dimension(n_atoms, lam_max, "even")
         assert d_odd == brute.sector_dimension(n_atoms, lam_max, "odd")
         assert d_all == brute.sector_dimension(n_atoms, lam_max, None)
@@ -141,7 +180,9 @@ class TestSectorDimensions:
             brute.sector_dimension(5, 12, "even")
         # the unprojected count still works for half-integer j
         p = ModelParams(1.0, 0.5, 5)
-        assert brute.sector_dimension(5, 12, None) == build_sector_basis(p, 12, None).size
+        assert brute.sector_dimension(5, 12, None) == len(brute.enumerate_states(5, 12, None))
+        assert brute.sector_dimension(5, 12, None) == sum(
+            build_sector_basis(p, 12, parity).size for parity in PARITIES)
 
 
 class TestHamiltonian:
@@ -162,7 +203,7 @@ class TestHamiltonian:
         assert H[a, b] == pytest.approx(p.gamma, rel=1e-14)
 
     def test_matches_brute_dense(self):
-        for parity in ("even", "odd", None):
+        for parity in PARITIES:
             p = ModelParams(omega_a=0.8, gamma=0.45, n_atoms=3)
             basis = build_sector_basis(p, 6, parity)
             H = build_hamiltonian(p, basis).toarray()
@@ -172,20 +213,25 @@ class TestHamiltonian:
             assert sorted(pos) == list(range(basis.size))
             assert np.max(np.abs(H[np.ix_(pos, pos)] - Hb)) < 1e-14
 
-    # parity sectors and the full space; no, negative and positive coupling;
-    # integer and half-integer j; lambda_max below and above N
+    # parity sectors and (None) the full space as the two sector stencils side
+    # by side; no, negative and positive coupling; integer and half-integer j;
+    # lambda_max below and above N
     @pytest.mark.parametrize("parity", [None, "even", "odd"])
     @pytest.mark.parametrize("gamma", [0.0, -0.7, 1.3])
     @pytest.mark.parametrize("n_atoms,lam_max", [(8, 5), (8, 21), (7, 4), (7, 18)])
     def test_canonical_stencil_matches_coo_reference(self, parity, gamma, n_atoms, lam_max):
         p = ModelParams(0.8, gamma, n_atoms)
-        basis = build_sector_basis(p, lam_max, parity)
-        H = build_hamiltonian(p, basis).matrix
+        if parity is None:
+            H, index_of = _stencil_of_both_sectors(p, lam_max)
+        else:
+            basis = build_sector_basis(p, lam_max, parity)
+            H, index_of = build_hamiltonian(p, basis).matrix, basis.index_of
         ref, states = brute.coo_hamiltonian(0.8, gamma, n_atoms, lam_max, parity)
         # brute's index of each of our states
-        brute_of = np.empty(basis.size, dtype=np.intp)
-        brute_of[[basis.index_of(nu, ne) for nu, ne in states]] = np.arange(len(states))
-        assert np.array_equal(np.sort(brute_of), np.arange(basis.size))
+        n = H.diag.size
+        brute_of = np.empty(n, dtype=np.intp)
+        brute_of[[index_of(nu, ne) for nu, ne in states]] = np.arange(len(states))
+        assert np.array_equal(np.sort(brute_of), np.arange(n))
         assert np.all(H.tgt > H.src)  # every raising coupling points to a later state
         assert len(set(zip(H.src.tolist(), H.tgt.tolist()))) == H.val.size  # no duplicates
         assert H.nnz == ref.nnz  # the diagonal of every state and each coupling twice
@@ -194,8 +240,8 @@ class TestHamiltonian:
         for rows, cols in ((H.tgt, H.src), (H.src, H.tgt)):
             assert H.val.tobytes() == dense[brute_of[rows], brute_of[cols]].tobytes()
 
-    # the full space and a sector, with and without coupling
-    @pytest.mark.parametrize("parity,gamma", [(None, 0.0), ("even", 1.3), ("odd", -0.7)])
+    # sectors with and without coupling
+    @pytest.mark.parametrize("parity,gamma", [("even", 0.0), ("even", 1.3), ("odd", -0.7)])
     def test_csr_constructor_keeps_the_index_arrays(self, monkeypatch, parity, gamma):
         given = []
         stencil = model.Stencil
@@ -217,19 +263,21 @@ class TestHamiltonian:
         H = build_hamiltonian(p, build_sector_basis(p, 18, "even")).toarray()
         assert np.abs(H - H.T).max() == 0.0
 
+    # brute's H on the whole space is, bit for bit, the two sectors side by
+    # side: it couples no two sectors, and every coupling lies in one of them
     def test_parity_commutator_exactly_zero(self):
         p = ModelParams(1.0, 1.0, 5)
-        basis = build_sector_basis(p, 14, None)
-        H = build_hamiltonian(p, basis).matrix
-        P = brute.parity_matrix(basis)
-        comm = H @ P - P @ H.toarray()
+        side, H, states = _sectors_in_brute_order(p, 14)
+        assert np.array_equal(side, H)
+        P = brute.parity_matrix(states)
+        comm = H @ P - P @ H
         assert np.abs(comm).max() == 0.0
 
     def test_parity_conjugation_reproduces_h(self):
         p = ModelParams(1.3, 0.6, 4)
-        basis = build_sector_basis(p, 10, None)
-        H = build_hamiltonian(p, basis).toarray()
-        signs = (-1.0) ** basis.lam
+        side, H, states = _sectors_in_brute_order(p, 10)
+        assert np.array_equal(side, H)
+        signs = np.diagonal(brute.parity_matrix(states))
         conj = signs[:, None] * H * signs[None, :]
         assert np.array_equal(H, conj)
 
@@ -255,21 +303,19 @@ class TestHamiltonian:
     )
     def test_parity_closure_property(self, omega, gamma, n_atoms, lam_max):
         p = ModelParams(omega, gamma, n_atoms)
-        basis = build_sector_basis(p, lam_max, None)
-        H = build_hamiltonian(p, basis).matrix
-        lam = basis.lam
-        assert np.all((lam[H.tgt] - lam[H.src]) % 2 == 0)
+        side, H, _ = _sectors_in_brute_order(p, lam_max)
+        assert np.array_equal(side, H)
 
 
 class TestStencil:
     """The stencil against tests/brute.py's loop-built dense H, which keeps
-    its own (lambda, nu) order, on the whole truncated space or in a drawn
+    its own (lambda, nu) order, on a whole truncated sector or in a drawn
     window nu >= nu_lo, ne_lo <= n_e <= ne_hi."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(1, 20),
            omega_a=st.floats(0.25, 9.0), gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
-           parity=st.sampled_from(["even", "odd", None]), sigma=st.floats(-60.0, 60.0),
+           parity=st.sampled_from(PARITIES), sigma=st.floats(-60.0, 60.0),
            seed=st.integers(0, 2**32 - 1),
            box=st.one_of(st.none(), st.tuples(st.integers(0, 21), st.integers(0, 12),
                                               st.integers(0, 12))))
@@ -333,6 +379,8 @@ class TestExcitationOperator:
         assert brute.excitation_operator(basis)[i, i] == 5.0
 
     def test_trace_n2(self):
+        # lambda = 0, 1, 1, 2, 2, 2 over the six states with lambda <= 2
         p = ModelParams(1.0, 0.5, 2)
-        basis = build_sector_basis(p, 2, None)
-        assert np.trace(brute.excitation_operator(basis)) == 8.0
+        traces = [np.trace(brute.excitation_operator(build_sector_basis(p, 2, parity)))
+                  for parity in PARITIES]
+        assert traces == [6.0, 2.0] and sum(traces) == 8.0

@@ -40,6 +40,7 @@ import sys
 from pathlib import Path
 
 GRID = ("--gamma-min", "0.3", "--gamma-max", "1.1", "--steps", "5")
+LARGE_N_GRID = ("--gamma-min", "0.6", "--gamma-max", "1.4", "--steps", "3")
 
 COMMANDS = [
     # exact solves: scans, fidelity, figures 3 and 8, verification
@@ -71,6 +72,9 @@ COMMANDS = [
     ("distributions", "--kind", "atom", *GRID),
     ("observables", "--source", "sas", *GRID),
     ("observables", "--source", "coherent", *GRID),
+    # the same closed forms at large N, where the log magnitudes are far larger
+    ("distributions", "--kind", "joint", "--n-atoms", "100", *LARGE_N_GRID),
+    ("observables", "--source", "coherent", "--n-atoms", "282", *LARGE_N_GRID),
     # failures: exit 1, then usage errors (exit 2)
     ("verify", "--gamma", "0.3"),
     ("spectrum", "--n-atoms", "0"),
