@@ -89,6 +89,10 @@ def _validate(args) -> None:
         raise UsageError("--omega-a must be > 0")
     if args.command == "figures" and args.figure_id not in FIGURE_TITLES:
         raise UsageError(f"unknown figure id {args.figure_id}; valid ids are 1..9")
+    if args.command in ("spectrum", "verify", "figures") and args.parity != "both":
+        raise UsageError(f"{args.command} covers both parity sectors; "
+                         f"--parity {args.parity} applies to observables, fidelity "
+                         f"and distributions")
     if args.tol <= 0:
         raise UsageError("--tol must be > 0")
     if args.lambda_max_cap < 2:
@@ -165,14 +169,13 @@ def _cmd_fidelity(args) -> Dataset:
 
 def _cmd_distributions(args) -> Dataset:
     point = functools.partial(distribution_cells, kind=args.kind)
-    rows = [(params.gamma, parity, *cell, flag)
+    rows = [(params.gamma, parity, *(cells or (None, None, None)), flag)
             for params, parity, cells, flag in sweep(
                 args.omega_a, args.n_atoms, _gammas(args), _parities(args), point,
-                (ValueError, ProjectionAnnihilationError))
-            for cell in cells or [(None, None, None)]]
+                (ValueError, ProjectionAnnihilationError))]
     nu_max = 0
     if args.kind == "joint":
-        nu_max = max((r[2] for r in rows if r[2] is not None), default=0)
+        nu_max = max((int(r[2][-1]) for r in rows if r[2] is not None), default=0)
     meta = {**_base_meta(args), "kind": args.kind, "nu_max": nu_max}
     return Dataset(meta, ["gamma", "parity", "nu", "n_e", "p", "flag"], rows)
 

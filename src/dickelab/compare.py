@@ -250,17 +250,20 @@ def smoothness_audit(omega_a: float = 1.0, n_atoms: int = 20,
 
 # -- distributions -------------------------------------------------------------------
 
-def distribution_cells(params: ModelParams, parity: str, kind: str) -> list[tuple]:
-    """The projected state's distribution as (nu, n_e, p) cells: the joint
-    P(nu, n_e) row by row (kind "joint"), or the photon ("photon", n_e None)
-    or excited-atom ("atom", nu None) marginal."""
+def distribution_cells(params: ModelParams, parity: str, kind: str) -> tuple:
+    """The projected state's distribution as (nu, n_e, p) columns of int and
+    float arrays: the joint P(nu, n_e) row by row (kind "joint"), or the
+    photon ("photon", n_e None) or excited-atom ("atom", nu None) marginal."""
     if kind == "joint":
-        m = joint_distribution_sas(params, parity).matrix.tolist()
-        return [(nu, ne, p) for nu, row in enumerate(m) for ne, p in enumerate(row)]
+        m = joint_distribution_sas(params, parity).matrix
+        nu, ne = np.indices(m.shape)
+        return nu.ravel(), ne.ravel(), m.ravel()
     if kind == "photon":
-        return [(k, None, p) for k, p in enumerate(marginal_photon(params, parity).tolist())]
+        p = marginal_photon(params, parity)
+        return np.arange(p.size), None, p
     if kind == "atom":
-        return [(None, k, p) for k, p in enumerate(marginal_excited(params, parity).tolist())]
+        p = marginal_excited(params, parity)
+        return None, np.arange(p.size), p
     raise ValueError(f"kind must be 'joint', 'photon' or 'atom', got {kind!r}")
 
 
@@ -403,11 +406,10 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
-    even = distribution_cells(p, "even", "joint")
-    odd = distribution_cells(p, "odd", "joint")
-    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": even[-1][0]})  # last cell (nu_max, N)
-    rows = [(nu, ne, p_even, p_odd) for (nu, ne, p_even), (_, _, p_odd) in zip(even, odd)]
-    return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], rows)
+    nu, ne, p_even = distribution_cells(p, "even", "joint")
+    p_odd = distribution_cells(p, "odd", "joint")[2]
+    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": int(nu[-1])})  # last cell (nu_max, N)
+    return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], [(nu, ne, p_even, p_odd)])
 
 
 def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
@@ -434,9 +436,9 @@ def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     for gamma in gamma_list:
         p = ModelParams(omega_a, gamma, n)
         for kind in ("photon", "atom"):
-            even = distribution_cells(p, "even", kind)
-            odd = distribution_cells(p, "odd", kind)
-            rows += [(kind, gamma, k, e[2], o[2]) for k, (e, o) in enumerate(zip(even, odd))]
+            p_even = distribution_cells(p, "even", kind)[2]
+            p_odd = distribution_cells(p, "odd", kind)[2]
+            rows.append((kind, gamma, np.arange(p_even.size), p_even, p_odd))
     return Dataset(meta, ["kind", "gamma", "k", "p_even", "p_odd"], rows)
 
 

@@ -4,6 +4,7 @@ Everything here is written from scratch with plain Python loops and dense
 matrices so it shares no code path with the package implementation.
 """
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -283,3 +284,26 @@ def grid_expectations(grid, n_atoms):
     out["jz_n_photons"] = np.sum(w * nevals * nu)
     out["jx_q"] = np.sum(jx_g * q_g)
     return {k: float(v) for k, v in out.items()}
+
+
+def render_csv(meta, columns, rows):
+    """A table as CSV, one cell at a time: '#'-prefixed metadata, then the
+    header and rows, floats at 17 significant digits and None empty."""
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return format(v, ".17g")
+        return str(v)
+
+    lines = [f"# {k} = {cell(v)}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(meta, columns, rows):
+    """A table as compact JSON {meta, columns, rows}, rows given as tuples."""
+    payload = {"meta": meta, "columns": columns, "rows": rows}
+    return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"

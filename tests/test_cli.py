@@ -176,6 +176,27 @@ class TestFigures:
         assert "figure id" in err
 
 
+class TestParity:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--n-atoms", "4", "--gamma", "0.5"),
+        ("verify", "--n-atoms", "4", "--gamma", "1"),
+        ("figures", "--id", "4", "--n-atoms", "2"),
+    ])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_one_sector_is_a_usage_error_where_both_are_covered(self, capsys, argv, parity):
+        code, out, err = run_cli(capsys, *argv, "--parity", parity)
+        assert (code, out) == (2, "")
+        assert "--parity" in err
+        assert run_cli(capsys, *argv, "--parity", "both")[0] == 0
+
+    def test_one_sector_is_honoured(self, capsys):
+        code, out, _ = run_cli(capsys, "distributions", "--kind", "photon", "--n-atoms", "4",
+                               "--gamma", "1", "--parity", "odd")
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n") if not l.startswith("#")][1:]
+        assert {r[1] for r in rows} == {"odd"}
+
+
 class TestVerify:
     def test_lambda_row_flagged(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n-atoms", "10", "--gamma", "1")

@@ -75,6 +75,9 @@ COMMANDS = [
     # the same closed forms at large N, where the log magnitudes are far larger
     ("distributions", "--kind", "joint", "--n-atoms", "100", *LARGE_N_GRID),
     ("observables", "--source", "coherent", "--n-atoms", "282", *LARGE_N_GRID),
+    # the two large distribution tables the benchmark spends its time rendering
+    ("figures", "--id", "7", "--n-atoms", "250", "--gamma", "0.65"),
+    ("distributions", "--kind", "joint", "--n-atoms", "282", "--gamma", "0.7", "--parity", "both"),
     # failures: exit 1, then usage errors (exit 2)
     ("verify", "--gamma", "0.3"),
     ("spectrum", "--n-atoms", "0"),
