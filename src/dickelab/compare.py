@@ -73,14 +73,15 @@ def fidelity(params: ModelParams, parity: str, tol: float = 1e-8,
     """|<trial|exact ground of the sector>|^2, both in the same basis.
 
     At gamma = 0 the odd trial family is degenerate; the overlap with its
-    two-dimensional span is returned instead.
+    two-dimensional span is returned instead.  A normal-phase trial state
+    outside the exact result's window raises ValueError.
     """
     if exact is None:
         exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
     psi = exact.eigenvectors[:, 0]
     basis = exact.basis
     if parity == "odd" and params.gamma == 0.0:
-        return float(psi[basis.index_of(0, 1)] ** 2 + psi[basis.index_of(1, 0)] ** 2)
+        return float(psi[basis.locate(0, 1)] ** 2 + psi[basis.locate(1, 0)] ** 2)
     trial = variational_vector(params, parity, basis)
     return float(trial @ psi) ** 2
 

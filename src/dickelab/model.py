@@ -119,6 +119,15 @@ class SectorBasis:
             return -1
         return int(self.offsets[nu]) + (n_e - self.ne_lo) // 2
 
+    def locate(self, nu: int, n_e: int) -> int:
+        """index_of of a state the caller needs; ValueError naming it if it
+        lies outside the window."""
+        i = self.index_of(nu, n_e)
+        if i < 0:
+            raise ValueError(f"state (nu={nu}, n_e={n_e}) lies outside the {self.parity} "
+                             f"window of {self.size} states")
+        return i
+
 
 def build_sector_basis(params: ModelParams, lambda_max: int, parity: str,
                        nu_lo: int = 0, ne_lo: int = 0, ne_hi: int | None = None) -> SectorBasis:

@@ -8,6 +8,11 @@ decay factor F.  Factorials and binomials go through log-gamma; F stays in
 the log domain.  Useful identities: x^N sqrt(F) = exp(-mu) and
 x^(2N) F = exp(-2 mu).
 
+sas_observables writes both parities in one form, with s = +1 (even) or
+-1 (odd) and r = (1 - x^-4)/(1 + sF) from surface._projection_factors.  It
+is regular through x = 1, where the odd state meets the normal phase's
+single-excitation state, so no limit is evaluated apart from r itself.
+
 The table_closed_forms_* registries carry the closed forms exactly as
 tabulated, including three rows that disagree with the projected-state
 oracle (lam; var_n_photons; jz_n_photons, which is low by a factor
@@ -25,10 +30,8 @@ from scipy.special import gammaln
 from .errors import ProjectionAnnihilationError, TruncationError
 from .model import ModelParams
 from .observables import ObservableSet, grid_observables
-from .surface import (atom_statistics, f_function, k_ratio, lambda_statistics, one_minus_x4,
-                      photon_statistics)
-
-ODD_LIMIT_WINDOW = 1e-8  # |x|-1 below this: use exact x->1 limits (odd branch)
+from .surface import (_parity_sign, _projection_factors, atom_statistics, f_function,
+                      lambda_statistics, one_minus_x4, photon_statistics)
 
 
 # -- shared geometry ----------------------------------------------------------
@@ -50,14 +53,6 @@ def _photon_sign(params: ModelParams) -> float:
     """-sgn(gamma): the projected-state coefficients go as its nu-th power on
     the phi_c = 0 branch, where <q> has the sign of -gamma."""
     return -math.copysign(1.0, params.gamma)
-
-
-def _sgn(parity: str) -> float:
-    if parity == "even":
-        return 1.0
-    if parity == "odd":
-        return -1.0
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
 def default_nu_max(params: ModelParams) -> int:
@@ -103,78 +98,40 @@ def coherent_observables(params: ModelParams) -> ObservableSet:
 
 # -- symmetry-adapted column ---------------------------------------------------
 
-def _sas_odd_limits(params: ModelParams) -> ObservableSet:
-    """Exact x -> 1 limits of the odd-branch observables.
-
-    Continuous with the single-excitation normal-phase state at the
-    separatrix (same <a'a>, <Jz>, fluctuations and correlations).
-    """
-    n = params.n_atoms
-    gc2 = params.gamma_c ** 2
-    kappa = 2.0 / (n * (1.0 + 4.0 * gc2))
-    amp = n * gc2 * kappa  # lim mu/(1-F)
-    n_phot = 2.0 * amp
-    jz = -0.5 * n * (1.0 - kappa)
-    var_n = 2.0 * amp - 4.0 * amp ** 2
-    var_jz = 4.0 * gc2 / (1.0 + 4.0 * gc2) ** 2
-    jz_n = -n * amp
-    return ObservableSet(
-        q=0.0, p=0.0, jx=0.0, jy=0.0,
-        jz=jz,
-        n_photons=n_phot,
-        lam=n_phot + jz + 0.5 * n,
-        var_q=0.5 + 2.0 * amp,
-        var_p=0.5 + 2.0 * amp,
-        var_jx=0.25 * n * (1.0 + (n - 1.0) * kappa),
-        var_jy=0.25 * n * (1.0 + (n - 1.0) * kappa),
-        var_jz=var_jz,
-        var_n_photons=var_n,
-        var_lam=var_n + var_jz + 2.0 * (jz_n - n_phot * jz),
-        jz_n_photons=jz_n,
-        jx_q=-math.copysign(math.sqrt(n ** 3 / 2.0) * params.gamma_c * kappa, params.x),
-    )
-
-
 def sas_observables(params: ModelParams, parity: str) -> ObservableSet:
     """Projected-state expectation values in closed form (oracle-faithful).
 
     lam is the operator identity <a'a> + <Jz> + N/2; var_n_photons and
     jz_n_photons use the corrected closed forms (see module docstring).
-    Odd-branch 0/0 indeterminacies at x = 1 are replaced by their limits.
+    Every 1/(1 + sF) folds into r = (1 - x^-4)/(1 + sF) of
+    _projection_factors and into M = N gamma_c^2 x^2 r = mu/(1 + sF), so one
+    form serves both parities and stays regular through x = 1.
     """
-    sgn = _sgn(parity)
     xa = _require_superradiant(params)
-    if parity == "odd" and xa - 1.0 <= ODD_LIMIT_WINDOW:
-        return _sas_odd_limits(params)
+    s, f, complement, r = _projection_factors(params, parity)
     n = params.n_atoms
     gc = params.gamma_c
-    omx4 = one_minus_x4(xa)
-    mu = photon_number_coherent(params)
-    log_f = f_function(params).log_f
-    f = math.exp(log_f)
-    denom = 1.0 + sgn * f
-    x4f = math.exp(4.0 * math.log(xa) + log_f)  # x^4 F without overflow
-    ratio = omx4 / denom if parity == "even" else k_ratio(params)
-    n_phot = mu * (1.0 - sgn * f) / denom
-    jz = -0.5 * n * (xa ** -2 + sgn * xa ** 2 * f) / denom
-    var_n = mu * ((1.0 - sgn * f) * denom + sgn * 4.0 * mu * f) / denom ** 2
-    var_jz = (0.25 * n * ratio / denom
-              * (1.0 + sgn * (n - 1.0) * (x4f - f) - xa ** 4 * f * f))
-    jz_n = -0.5 * n * mu * (xa ** -2 - sgn * xa ** 2 * f) / denom
+    x4fr = xa ** 4 * f * r
+    m = n * gc ** 2 * xa ** 2 * r
+    n_phot = m * complement
+    jz = -0.5 * n * xa ** -2 * (1.0 + s * x4fr)
+    var_n = n_phot + 4.0 * s * f * m * m
+    var_jz = 0.25 * n * r * (1.0 - s * f * (1.0 + s * x4fr) + s * (n - 1.0) * x4fr)
+    jz_n = -0.5 * n * m * (xa ** -2 - s * xa ** 2 * f)
     return ObservableSet(
         q=0.0, p=0.0, jx=0.0, jy=0.0,
         jz=jz,
         n_photons=n_phot,
         lam=n_phot + jz + 0.5 * n,
-        var_q=0.5 + 2.0 * n * gc ** 2 * xa ** 2 * ratio,
-        var_p=0.5 - sgn * 2.0 * n * gc ** 2 * xa ** 2 * ratio * f,
-        var_jx=0.25 * n * (1.0 + (n - 1.0) * ratio),
-        var_jy=0.25 * n * (1.0 + sgn * (n - 1.0) * (f - x4f) / denom),
+        var_q=0.5 + 2.0 * m,
+        var_p=0.5 - s * 2.0 * m * f,
+        var_jx=0.25 * n * (1.0 + (n - 1.0) * r),
+        var_jy=0.25 * n * (1.0 - s * (n - 1.0) * x4fr),
         var_jz=var_jz,
         var_n_photons=var_n,
         var_lam=var_n + var_jz + 2.0 * (jz_n - n_phot * jz),
         jz_n_photons=jz_n,
-        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * params.x * omx4 / denom,
+        jx_q=-math.sqrt(n ** 3 / 2.0) * gc * params.x * r,
     )
 
 
@@ -189,7 +146,7 @@ TABLE_ROW_NAMES = [
 
 def table_closed_forms_sas(params: ModelParams, parity: str) -> dict[str, float]:
     """The symmetry-adapted column exactly as tabulated (|x| > 1)."""
-    sgn = _sgn(parity)
+    sgn = _parity_sign(parity)
     xa = _require_superradiant(params, strict=True)
     n = params.n_atoms
     gc2 = params.gamma_c ** 2
@@ -270,7 +227,7 @@ def _projected_log_amplitude(params: ModelParams, parity: str,
     magnitude of every coefficient before truncation, and the cells of the
     state's parity.  At x = 1 the even state is the vacuum and the odd one
     raises ProjectionAnnihilationError."""
-    sgn = _sgn(parity)
+    sgn = _parity_sign(parity)
     xa = _require_superradiant(params)
     n = params.n_atoms
     if xa == 1.0:
@@ -356,7 +313,7 @@ def marginal_photon(params: ModelParams, parity: str,
                     nu_max: int | None = None) -> np.ndarray:
     """Photon-number distribution: Poisson(mu) times the parity correction
     (1 +- (-1)^nu x^-2N) / (1 +- exp(-2 mu) x^-2N)."""
-    sgn = _sgn(parity)
+    sgn = _parity_sign(parity)
     xa = _require_superradiant(params, strict=(parity == "odd"))
     n = params.n_atoms
     if nu_max is None:
@@ -377,7 +334,7 @@ def marginal_photon(params: ModelParams, parity: str,
 def marginal_excited(params: ModelParams, parity: str) -> np.ndarray:
     """Excited-atom distribution: binomial(N, (1-x^-2)/2) times the parity
     correction (1 +- (-1)^n_e exp(-2 mu)) / (1 +- F)."""
-    sgn = _sgn(parity)
+    sgn = _parity_sign(parity)
     xa = _require_superradiant(params, strict=(parity == "odd"))
     n = params.n_atoms
     ne = np.arange(n + 1)

@@ -107,9 +107,10 @@ def variational_energy(params: ModelParams, parity: str) -> float:
 def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
     """The trial state expressed in a sector basis (unit norm).
 
-    Raises ProjectionAnnihilationError for the odd state at the separatrix
+    Raises ProjectionAnnihilationError for the odd state at the separatrix,
     and ValueError for the degenerate odd family at gamma = 0 (fidelity
-    handles that case by subspace overlap).
+    handles that case by subspace overlap) or for a normal-phase state
+    outside the basis window.
     """
     if basis.parity != parity:
         raise ValueError("basis parity does not match the requested state")
@@ -117,7 +118,7 @@ def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
     vec = np.zeros(basis.size)
     if parity == "even":
         if xa <= 1.0:
-            vec[basis.index_of(0, 0)] = 1.0
+            vec[basis.locate(0, 0)] = 1.0
             return vec
         return sas_coefficients_at(params, basis.nu, basis.ne)
     if xa > 1.0:
@@ -129,8 +130,8 @@ def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
     if state.degenerate:
         raise ValueError("odd trial state is degenerate at gamma = 0")
     c0, c1 = state.coefficients
-    vec[basis.index_of(0, 1)] = c0
-    vec[basis.index_of(1, 0)] = c1
+    vec[basis.locate(0, 1)] = c0
+    vec[basis.locate(1, 0)] = c1
     return vec
 
 
@@ -191,8 +192,8 @@ def _verified_shift_invert(H: Stencil, basis: SectorBasis, k: int, sigma: float)
 
 def _start_vector(basis: SectorBasis) -> np.ndarray:
     """The variational state, else (the degenerate odd state at gamma = 0, the
-    annihilated one at x = 1) a fixed-seed vector, so that equal inputs give
-    equal bits."""
+    annihilated one at x = 1, a normal-phase state outside the window) a
+    fixed-seed vector, so that equal inputs give equal bits."""
     try:
         return variational_vector(basis.params, basis.parity, basis)
     except (ValueError, ProjectionAnnihilationError):

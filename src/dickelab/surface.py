@@ -11,6 +11,11 @@ zeta = exp(-i phi) tan(theta/2), giving the surface
 All projected-surface ratios are evaluated through t = exp(-r^2) cos(theta)^N
 (|t| <= 1, no overflow at any atom count) and the overlap decay factor
 F = x^(-2N) exp(-2N gamma_c^2 x^2 (1 - x^-4)) is kept in the log domain.
+
+At the superradiant critical point both projections are written in one
+form, with s = +1 (even) or -1 (odd): every 1/(1 + sF) folds into
+r = (1 - x^-4)/(1 + sF), which _projection_factors evaluates once, regular
+through x = 1, where the odd ratio is 0/0 and takes its exact limit.
 """
 from __future__ import annotations
 
@@ -165,29 +170,46 @@ class FValue:
 
 
 def f_function(params: ModelParams) -> FValue:
-    """log F = -2N ln x - 2N gamma_c^2 x^2 (1 - x^-4), superradiant branch only."""
+    """log F = -2N ln x - 2 mu, superradiant branch only."""
     xa = abs(params.x)
     if xa < 1.0:
         raise ValueError("F is defined on the superradiant branch (|x| >= 1)")
-    n = params.n_atoms
-    log_f = (-2.0 * n * math.log(xa)
-             - 2.0 * n * params.gamma_c ** 2 * xa ** 2 * one_minus_x4(xa))
-    return FValue(log_f)
+    return FValue(-2.0 * params.n_atoms * math.log(xa) - 2.0 * photon_statistics(params)[0])
+
+
+def _parity_sign(parity: str) -> float:
+    """s = +1 for the even projection, -1 for the odd one."""
+    if parity == "even":
+        return 1.0
+    if parity == "odd":
+        return -1.0
+    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+
+
+def _projection_factors(params: ModelParams, parity: str) -> tuple[float, float, float, float]:
+    """(s, F, 1 - sF, r) at the superradiant critical point, with
+    r = (1 - x^-4)/(1 + sF), into which every 1/(1 + sF) of the projected
+    closed forms folds.
+
+    Whichever of 1 -+ F is small near x = 1 goes through expm1.  The odd r
+    is 0/0 at x = 1, where its limit 2/(N (1 + 4 gamma_c^2)) is returned;
+    away from x = 1 both of its factors carry full relative precision.
+    """
+    s = _parity_sign(parity)
+    log_f = f_function(params).log_f
+    f, one_minus_f = math.exp(log_f), -math.expm1(log_f)
+    xa = abs(params.x)
+    if s > 0:
+        return s, f, one_minus_f, one_minus_x4(xa) / (1.0 + f)
+    if xa == 1.0:
+        return s, f, 1.0 + f, 2.0 / (params.n_atoms * (1.0 + 4.0 * params.gamma_c ** 2))
+    return s, f, 1.0 + f, one_minus_x4(xa) / one_minus_f
 
 
 def k_ratio(params: ModelParams) -> float:
-    """(1 - x^-4) / (1 - F) on the superradiant branch.
-
-    Both factors vanish at x = 1; their ratio tends to
-    2 / (N (1 + 4 gamma_c^2)), which is returned there.  Away from x = 1 the
-    expm1-based evaluation carries full relative precision.
-    """
-    xa = abs(params.x)
-    if xa < 1.0:
-        raise ValueError("ratio defined on the superradiant branch (|x| >= 1)")
-    if xa == 1.0:
-        return 2.0 / (params.n_atoms * (1.0 + 4.0 * params.gamma_c ** 2))
-    return one_minus_x4(xa) / -math.expm1(f_function(params).log_f)
+    """(1 - x^-4) / (1 - F) on the superradiant branch: the odd r of
+    _projection_factors, 2/(N (1 + 4 gamma_c^2)) at x = 1."""
+    return _projection_factors(params, "odd")[3]
 
 
 def _projection_weights(r_sq: float, cos_theta: float, n_atoms: int) -> tuple[float, float]:
@@ -214,8 +236,7 @@ def sas_energy_surface(params: ModelParams, point: PhaseSpacePoint, parity: str)
     in particular at the origin (q, p, theta) = 0, where a
     ProjectionAnnihilationError is raised.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _parity_sign(parity)
     n = params.n_atoms
     omega = params.omega_a
     q, p, theta, phi = point.q, point.p, point.theta, point.phi
@@ -245,34 +266,18 @@ def sas_energy_at_critical(params: ModelParams, parity: str) -> float:
     """Projected energy at the superradiant critical point, in closed form:
 
         <H>+- = -N gamma_c^2 x^2 [2 - (1 - x^-4) (1 -+ F) / (1 +- F)]
+              = -N gamma_c^2 x^2 [2 - r (1 - sF)],
 
-    For the odd branch the 0/0 at x = 1 is resolved by the exact limit of
-    (1 - x^-4)/(1 - F); the even branch is regular everywhere.
+    regular through x = 1 in both parities (see _projection_factors).
     """
-    xa = abs(params.x)
-    if xa < 1.0:
-        raise ValueError("projected critical energy defined for |x| >= 1")
-    n = params.n_atoms
-    gc2 = params.gamma_c ** 2
-    log_f = f_function(params).log_f
-    f = math.exp(log_f)
-    if parity == "even":
-        ratio = one_minus_x4(xa) * (-math.expm1(log_f)) / (1.0 + f)
-    elif parity == "odd":
-        ratio = k_ratio(params) * (1.0 + f)
-    else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return -n * gc2 * xa ** 2 * (2.0 - ratio)
+    _, _, complement, r = _projection_factors(params, parity)
+    return -params.n_atoms * params.gamma_c ** 2 * params.x ** 2 * (2.0 - r * complement)
 
 
 def coherent_sas_overlap(params: ModelParams, parity: str) -> float:
     """Squared overlap (1 +- F)/2 between the unprojected and projected states."""
-    f = f_function(params).f
-    if parity == "even":
-        return 0.5 * (1.0 + f)
-    if parity == "odd":
-        return 0.5 * (1.0 - f)
-    raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    s, f, _, _ = _projection_factors(params, parity)
+    return 0.5 * (1.0 + s * f)
 
 
 @dataclass(frozen=True)

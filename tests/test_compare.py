@@ -17,7 +17,7 @@ from dickelab.compare import (
 from dickelab.dataset import Dataset
 from dickelab.errors import ProjectionAnnihilationError
 from dickelab.model import ModelParams, build_sector_basis
-from dickelab.solver import converge_ground
+from dickelab.solver import SpectralResult, converge_ground
 
 
 class TestVariationalEnergy:
@@ -74,6 +74,15 @@ class TestFidelity:
         f50 = fidelity(ModelParams(1.0, 0.6, 50), "even")
         assert f10 < f50
 
+    def test_gamma_zero_odd_outside_window_raises(self):
+        # a window without (nu, n_e) = (0, 1) must not read psi[-1]
+        p = ModelParams(1.0, 0.0, 10)
+        basis = build_sector_basis(p, 12, "odd", nu_lo=1)
+        psi = np.full((basis.size, 1), basis.size ** -0.5)
+        exact = SpectralResult("odd", 12, np.zeros(1), psi, basis)
+        with pytest.raises(ValueError, match=r"\(nu=0, n_e=1\)"):
+            fidelity(p, "odd", exact=exact)
+
     def test_curve_with_flags(self):
         curve = fidelity_curve(1.0, 6, "odd", [0.3, 0.5, 0.8], tol=1e-8)
         assert isinstance(curve, FidelityCurve)
@@ -97,6 +106,15 @@ class TestVariationalVector:
         v = variational_vector(p, "even", basis)
         assert v[basis.index_of(0, 0)] == 1.0
         assert np.count_nonzero(v) == 1
+
+    @pytest.mark.parametrize("parity, missing", [("even", r"\(nu=0, n_e=0\)"),
+                                                 ("odd", r"\(nu=0, n_e=1\)")])
+    def test_normal_phase_state_outside_window_raises(self, parity, missing):
+        # a boxed window without the trial state's support must not write index -1
+        p = ModelParams.from_ratio(1.0, 0.5, 10)
+        basis = build_sector_basis(p, 30, parity, nu_lo=1)
+        with pytest.raises(ValueError, match=missing):
+            variational_vector(p, parity, basis)
 
     def test_sas_vector_unit_norm_and_sign(self):
         p = ModelParams(1.0, 1.0, 10)

@@ -135,6 +135,14 @@ class TestSectorBasis:
         assert basis.index_of(0, 1) == -1  # wrong parity
         assert basis.index_of(50, 0) == -1  # outside window
 
+    def test_locate_names_a_state_outside_the_window(self):
+        p = ModelParams(1.0, 0.5, 3)
+        basis = build_sector_basis(p, 6, "even", nu_lo=1)
+        assert basis.locate(2, 0) == basis.index_of(2, 0)
+        for nu, ne in ((0, 0), (0, 1), (50, 0)):
+            with pytest.raises(ValueError, match=rf"\(nu={nu}, n_e={ne}\)"):
+                basis.locate(nu, ne)
+
     def test_every_basis_is_a_parity_sector(self):
         p = ModelParams(1.0, 0.5, 4)
         for parity in (None, "both"):

@@ -100,6 +100,19 @@ class TestSasObservables:
         for name in ObservableSet.names():
             assert _rel(getattr(obs, name), ref[name]) < 1e-9, name
 
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("n_atoms", [2, 9, 10, 37])
+    @pytest.mark.parametrize("dx", [1e-9, 5e-9, 1e-8, 2e-8, 1e-6])
+    def test_oracle_equality_near_separatrix(self, parity, n_atoms, dx):
+        """The one closed form holds through x -> 1, where the odd branch is
+        0/0 in 1 - F: every entry matches the oracle to 1e-11."""
+        p = ModelParams.from_ratio(1.0, 1.0 + dx, n_atoms)
+        obs = sas_observables(p, parity)
+        oracle = state_observables(build_sas_state(p, parity))
+        for name in ObservableSet.names():
+            a, b = getattr(obs, name), getattr(oracle, name)
+            assert abs(a - b) <= 1e-11 * (1.0 + abs(b)), f"{name}: closed {a!r} vs oracle {b!r}"
+
     def test_odd_limit_continuity(self):
         below = sas_observables(ModelParams.from_ratio(1.0, 1.0, 10), "odd")
         above = sas_observables(ModelParams.from_ratio(1.0, 1.0 + 1e-7, 10), "odd")

@@ -111,6 +111,18 @@ class TestLowestEigenpairs:
         assert res.path == "variational shift-invert"
         assert res.eigenvalues[0] == pytest.approx(-20.0, abs=1e-12)
 
+    def test_window_without_the_trial_state_starts_from_the_fixed_seed(self, monkeypatch):
+        # nu_lo = 1 drops the vacuum the even trial state sits on
+        p = ModelParams.from_ratio(1.0, 0.5, 10)
+        op = build_hamiltonian(p, build_sector_basis(p, 30, "even", nu_lo=1))
+        assert op.dimension == 140 > solver.DENSE_CUTOFF
+        calls = _record_eigsh(monkeypatch)
+        res = lowest_eigenpairs(op, 1)
+        assert np.array_equal(calls[0]["v0"],
+                              np.random.default_rng(0).uniform(-1.0, 1.0, op.dimension))
+        assert res.eigenvalues[0] == pytest.approx(np.linalg.eigvalsh(op.toarray())[0],
+                                                   abs=1e-9)
+
     def test_sign_convention(self):
         p = ModelParams(1.0, 0.9, 8)
         res = _solve(p, 40, "even", 2)

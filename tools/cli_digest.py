@@ -78,6 +78,9 @@ COMMANDS = [
     # the two large distribution tables the benchmark spends its time rendering
     ("figures", "--id", "7", "--n-atoms", "250", "--gamma", "0.65"),
     ("distributions", "--kind", "joint", "--n-atoms", "282", "--gamma", "0.7", "--parity", "both"),
+    # the odd projected observables just above the separatrix, x = 1 + 5e-9 and x = 1 + 2e-8
+    ("observables", "--source", "sas", "--gamma", "0.5000000025", "--parity", "odd"),
+    ("observables", "--source", "sas", "--gamma", "0.50000001", "--parity", "odd"),
     # failures: exit 1, then usage errors (exit 2)
     ("verify", "--gamma", "0.3"),
     ("spectrum", "--n-atoms", "0"),
