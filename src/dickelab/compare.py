@@ -67,19 +67,16 @@ def _by_gamma(scan: list[tuple]) -> list[tuple]:
     return [(even[0], even[2], odd[2]) for even, odd in zip(scan[0::2], scan[1::2])]
 
 
-def fidelity(params: ModelParams, parity: str, tol: float = 1e-8,
-             lambda_cap: int = DEFAULT_LAMBDA_CAP,
-             exact: SpectralResult | None = None) -> float:
-    """|<trial|exact ground of the sector>|^2, both in the same basis.
+def fidelity(exact: SpectralResult) -> float:
+    """|<trial|exact ground of the sector>|^2, both in the exact result's basis.
 
     At gamma = 0 the odd trial family is degenerate; the overlap with its
     two-dimensional span is returned instead.  A normal-phase trial state
     outside the exact result's window raises ValueError.
     """
-    if exact is None:
-        exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
     psi = exact.eigenvectors[:, 0]
     basis = exact.basis
+    params, parity = basis.params, exact.parity
     if parity == "odd" and params.gamma == 0.0:
         return float(psi[basis.locate(0, 1)] ** 2 + psi[basis.locate(1, 0)] ** 2)
     trial = variational_vector(params, parity, basis)
@@ -101,9 +98,9 @@ class FidelityCurve:
 
 def _fidelity_point(params: ModelParams, parity: str, tol: float,
                     lambda_cap: int) -> tuple:
-    exact = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
+    exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
     try:
-        return fidelity(params, parity, tol=tol, exact=exact), exact.lambda_max, ""
+        return fidelity(exact), exact.lambda_max, ""
     except ProjectionAnnihilationError:
         return None, exact.lambda_max, "annihilated"
 
@@ -179,7 +176,7 @@ def verify_table(params: ModelParams, tol: float = 1e-8,
     for parity in ("even", "odd"):
         closed_form = table_closed_forms_sas(params, parity)
         oracle = state_observables(build_sas_state(params, parity))
-        exact_res = converge_ground(params, parity, tol=tol, k=1, lambda_cap=lambda_cap)
+        exact_res = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
         exact = eigen_observables(exact_res.eigenvectors[:, 0], exact_res.basis)
         for name in TABLE_ROW_NAMES:
             o = getattr(oracle, name)
@@ -235,7 +232,7 @@ def smoothness_audit(omega_a: float = 1.0, n_atoms: int = 20,
     gammas = np.asarray(list(gammas), dtype=float)
 
     def point(params, parity):
-        res = converge_ground(params, parity, tol=tol, k=1)
+        res = converge_ground(params, parity, tol=tol)
         w = res.eigenvectors[:, 0] ** 2
         return float(w @ res.basis.nu), float(w @ res.basis.ne)
 

@@ -220,48 +220,59 @@ def _log_amplitude(params: ModelParams, nu, ne):
             + 0.5 * (nu + ne) * log_one_minus + 0.5 * (n + nu - ne) * log_one_plus)
 
 
-def _projected_log_amplitude(params: ModelParams, parity: str,
-                             nu_max: int | None) -> tuple[int, np.ndarray, np.ndarray]:
+def _one_plus_exp(s, t: float) -> np.ndarray:
+    """1 + s e^t for a sign s = +-1 or an array of signs; the small 1 - e^t
+    near t = 0 goes through expm1."""
+    return np.where(np.asarray(s) > 0, 1.0 + math.exp(t), -math.expm1(t))
+
+
+def _projection_norm(params: ModelParams, parity: str) -> float:
+    """1 + sF, twice the squared norm of the projected coherent state, which
+    the joint distribution and both marginals divide by.  The odd projection
+    annihilates the state at x = 1: ProjectionAnnihilationError."""
+    norm = float(_one_plus_exp(_parity_sign(parity), f_function(params).log_f))
+    if norm == 0.0:
+        raise ProjectionAnnihilationError(
+            "odd projection annihilates the coherent state at x = 1")
+    return norm
+
+
+def _projected_log_amplitude(params: ModelParams,
+                             parity: str) -> tuple[int, np.ndarray, np.ndarray]:
     """(nu_max, log|c|, mask) of the normalized projected state on the
-    (nu, n_e) grid, nu <= nu_max (default_nu_max when None): the log
-    magnitude of every coefficient before truncation, and the cells of the
-    state's parity.  At x = 1 the even state is the vacuum and the odd one
-    raises ProjectionAnnihilationError."""
-    sgn = _parity_sign(parity)
+    (nu, n_e) grid, nu <= default_nu_max: the log magnitude of every
+    coefficient before truncation, and the cells of the state's parity.  At
+    x = 1 the even state is the vacuum and the odd one raises
+    ProjectionAnnihilationError."""
     xa = _require_superradiant(params)
     n = params.n_atoms
+    norm = _projection_norm(params, parity)
     if xa == 1.0:
-        if parity == "odd":
-            raise ProjectionAnnihilationError(
-                "odd projection annihilates the coherent state at x = 1")
         return 0, np.zeros((1, n + 1)), np.arange(n + 1)[None, :] == 0
-    if nu_max is None:
-        nu_max = default_nu_max(params)
+    nu_max = default_nu_max(params)
     nu = np.arange(nu_max + 1)[:, None]
     ne = np.arange(n + 1)[None, :]
-    log_f = f_function(params).log_f
-    log_denom = (math.log1p(sgn * math.exp(log_f)) if parity == "even"
-                 else math.log(-math.expm1(log_f)))
+    # the even log(1 + F) through log1p, which rounding 1 + F first would lose
+    log_denom = math.log1p(f_function(params).f) if parity == "even" else math.log(norm)
     log_norm = (0.5 * (1.0 - n) * math.log(2.0) - 0.5 * photon_number_coherent(params)
                 - 0.5 * log_denom)
     return nu_max, _log_amplitude(params, nu, ne) + log_norm, (nu + ne) % 2 == (parity == "odd")
 
 
-def build_sas_state(params: ModelParams, parity: str, nu_max: int | None = None) -> SASStateVector:
+def build_sas_state(params: ModelParams, parity: str) -> SASStateVector:
     """Assemble the projected state from its closed-form expansion.
 
     Coefficients are built in the log domain, parity-masked, truncated at
-    nu_max (default covers the Poisson bulk to 20 sigma) and renormalized;
-    a truncation norm defect above 1e-8 raises TruncationError.
+    default_nu_max (the Poisson bulk to 20 sigma) and renormalized; a
+    truncation norm defect above 1e-8 raises TruncationError.
     """
-    nu_max, log_c, allowed = _projected_log_amplitude(params, parity, nu_max)
+    nu_max, log_c, allowed = _projected_log_amplitude(params, parity)
     coeffs = np.where(allowed, np.exp(log_c), 0.0)
     coeffs *= _photon_sign(params) ** np.arange(nu_max + 1)[:, None]
     norm_sq = float(np.sum(coeffs * coeffs))
     defect = 1.0 - norm_sq
     if defect > 1e-8:
-        raise TruncationError(
-            f"truncation at nu_max={nu_max} loses {defect:.3e} probability; increase nu_max")
+        raise TruncationError(f"truncation at nu_max={nu_max} loses {defect:.3e} probability")
     coeffs = coeffs / math.sqrt(norm_sq)
     return SASStateVector(params, parity, nu_max, coeffs, defect)
 
@@ -301,23 +312,20 @@ class JointDistribution:
     matrix: np.ndarray
 
 
-def joint_distribution_sas(params: ModelParams, parity: str,
-                           nu_max: int | None = None) -> JointDistribution:
+def joint_distribution_sas(params: ModelParams, parity: str) -> JointDistribution:
     """Closed-form joint distribution |c|^2, using x^N sqrt(F) = exp(-mu)."""
-    nu_max, log_c, allowed = _projected_log_amplitude(params, parity, nu_max)
+    nu_max, log_c, allowed = _projected_log_amplitude(params, parity)
     return JointDistribution(params, parity, nu_max,
                              np.where(allowed, np.exp(2.0 * log_c), 0.0))
 
 
-def marginal_photon(params: ModelParams, parity: str,
-                    nu_max: int | None = None) -> np.ndarray:
-    """Photon-number distribution: Poisson(mu) times the parity correction
-    (1 +- (-1)^nu x^-2N) / (1 +- exp(-2 mu) x^-2N)."""
+def marginal_photon(params: ModelParams, parity: str) -> np.ndarray:
+    """Photon-number distribution on nu <= default_nu_max: Poisson(mu) times
+    the parity correction (1 +- (-1)^nu x^-2N) / (1 +- F)."""
     sgn = _parity_sign(parity)
-    xa = _require_superradiant(params, strict=(parity == "odd"))
-    n = params.n_atoms
-    if nu_max is None:
-        nu_max = default_nu_max(params)
+    xa = _require_superradiant(params)
+    norm = _projection_norm(params, parity)
+    nu_max = default_nu_max(params)
     nu = np.arange(nu_max + 1)
     mu = photon_number_coherent(params)
     if mu == 0.0:
@@ -325,17 +333,15 @@ def marginal_photon(params: ModelParams, parity: str,
         base[0] = 1.0
     else:
         base = np.exp(nu * math.log(mu) - gammaln(nu + 1.0) - mu)
-    t2n = math.exp(-2.0 * n * math.log(xa))
-    correction = 1.0 + sgn * (-1.0) ** nu * t2n
-    denom = 1.0 + sgn * math.exp(-2.0 * mu) * t2n
-    return base * correction / denom
+    return base * _one_plus_exp(sgn * (-1.0) ** nu, -2.0 * params.n_atoms * math.log(xa)) / norm
 
 
 def marginal_excited(params: ModelParams, parity: str) -> np.ndarray:
     """Excited-atom distribution: binomial(N, (1-x^-2)/2) times the parity
     correction (1 +- (-1)^n_e exp(-2 mu)) / (1 +- F)."""
     sgn = _parity_sign(parity)
-    xa = _require_superradiant(params, strict=(parity == "odd"))
+    xa = _require_superradiant(params)
+    norm = _projection_norm(params, parity)
     n = params.n_atoms
     ne = np.arange(n + 1)
     log_binom = gammaln(n + 1) - gammaln(ne + 1) - gammaln(n - ne + 1)
@@ -346,11 +352,7 @@ def marginal_excited(params: ModelParams, parity: str) -> np.ndarray:
         log_a = math.log(-math.expm1(-2.0 * math.log(xa))) - math.log(2.0)
         log_b = math.log1p(xa ** -2) - math.log(2.0)
         base = np.exp(log_binom + ne * log_a + (n - ne) * log_b)
-    mu = photon_number_coherent(params)
-    log_f = f_function(params).log_f
-    correction = 1.0 + sgn * (-1.0) ** ne * math.exp(-2.0 * mu)
-    denom = 1.0 + sgn * math.exp(log_f)
-    return base * correction / denom
+    return base * _one_plus_exp(sgn * (-1.0) ** ne, -2.0 * photon_number_coherent(params)) / norm
 
 
 # -- Gaussian limits -------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Lowest eigenpairs per parity sector, one verified solve per sweep point.
+"""The ground state of each parity sector, one verified solve per sweep point.
 
-Each sector has one solver.  Sectors of up to DENSE_CUTOFF states use dense
+The paper needs one eigenpair per sector: the ground state is the even
+sector's, the first excited state the odd sector's.  Each sector has one
+solver.  Sectors of up to DENSE_CUTOFF states use dense
 LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
 supplies: (1 + omega_a)/2 below its closed-form variational energy, started
 from the variational state (a fixed-seed vector where that state is
@@ -56,16 +58,18 @@ WINDOW_MARGIN = 2.0
 
 @dataclass
 class SpectralResult:
-    """Lowest eigenpairs of one sector plus truncation metadata.
+    """The ground state of one sector plus truncation metadata.
 
-    ``eigenvalues`` are ascending, eigenvectors unit-norm columns in the
-    SectorBasis ordering with the largest-magnitude coefficient positive.
+    ``eigenvalues`` holds the one energy, shape (1,), and ``eigenvectors``
+    the one unit-norm state as a column, shape (n, 1), in the SectorBasis
+    ordering with its largest-magnitude coefficient positive; ``residuals``
+    is ||H v - E v||, shape (1,).
     ``history`` records (lambda_max, eigenvalues) per truncation step.
     ``path`` names the one solver the sector was given ("dense" or
     "variational shift-invert").
-    ``truncation_estimate`` is the second-order energy leak per eigenvalue,
-    summed over the window's edge_leaks, and ``seed`` the truncation_seed
-    record (both set by converge_ground).
+    ``truncation_estimate`` is the second-order energy leak, summed over the
+    window's edge_leaks, and ``seed`` the truncation_seed record (both set
+    by converge_ground).
     """
 
     parity: str
@@ -77,7 +81,7 @@ class SpectralResult:
     history: list = field(default_factory=list)
     path: str = ""
     residuals: np.ndarray | None = None
-    truncation_estimate: np.ndarray | None = None
+    truncation_estimate: float | None = None
     seed: dict = field(default_factory=dict)
 
     def diagnostics(self) -> dict:
@@ -150,14 +154,6 @@ def shift_margin(params: ModelParams) -> float:
 
 # -- eigensolvers -----------------------------------------------------------------
 
-def _fix_signs(vecs: np.ndarray) -> np.ndarray:
-    for col in range(vecs.shape[1]):
-        i = np.argmax(np.abs(vecs[:, col]))
-        if vecs[i, col] < 0:
-            vecs[:, col] *= -1.0
-    return vecs
-
-
 def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
     """LAPACK's lower band storage of H - sigma I, A[i, j] at band[i - j, j].
 
@@ -172,7 +168,7 @@ def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
     return band
 
 
-def _verified_shift_invert(H: Stencil, basis: SectorBasis, k: int, sigma: float):
+def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float):
     """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
     n = H.shape[0]
     chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
@@ -186,8 +182,8 @@ def _verified_shift_invert(H: Stencil, basis: SectorBasis, k: int, sigma: float)
     # this tol meets RESIDUAL_TOL without iterating on to machine precision.
     # By symmetry the 1-norm, a largest column sum, is the largest row sum.
     tol = RESIDUAL_TOL / (np.abs(H.diag - sigma) + H.radii()).max()
-    return spla.eigsh(H, k=k, sigma=sigma, which="LM", OPinv=opinv, v0=_start_vector(basis),
-                      ncv=min(n, 2 * k + 4), tol=tol)
+    return spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=_start_vector(basis),
+                      ncv=min(n, 6), tol=tol)
 
 
 def _start_vector(basis: SectorBasis) -> np.ndarray:
@@ -200,42 +196,38 @@ def _start_vector(basis: SectorBasis) -> np.ndarray:
         return np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
 
 
-def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
-    """k lowest eigenpairs of a symmetric operator on a sector, residual-checked.
+def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
+    """The lowest eigenpair of a symmetric operator on a sector, residual-checked.
 
-    Up to DENSE_CUTOFF states, or when k >= dim - 1, dense LAPACK solves the
-    sector.  Above it one _verified_shift_invert runs from _start_vector at
-    the shift the sector supplies, shift_margin below its variational energy.
-    The shift is accepted only when the Cholesky factorization of
-    H - sigma I succeeds, which proves it below every eigenvalue.  A rejected
-    shift (named with the leading minor that is not positive definite), an
-    ARPACK or LAPACK error or a residual above RESIDUAL_TOL raises
-    ConvergenceError.
+    Up to DENSE_CUTOFF states dense LAPACK solves the sector.  Above it one
+    _verified_shift_invert runs from _start_vector at the shift the sector
+    supplies, shift_margin below its variational energy.  The shift is
+    accepted only when the Cholesky factorization of H - sigma I succeeds,
+    which proves it below every eigenvalue.  A rejected shift (named with the
+    leading minor that is not positive definite), an ARPACK or LAPACK error
+    or a residual above RESIDUAL_TOL raises ConvergenceError.
     """
     dim = op.dimension
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in [1, {dim}], got {k}")
     H = op.matrix
     params, parity = op.basis.params, op.basis.parity
     residuals = None
-    if dim <= DENSE_CUTOFF or k >= dim - 1:
+    if dim <= DENSE_CUTOFF:
         path = "dense"
     else:
         path = "variational shift-invert"
         sigma = variational_energy(params, parity) - shift_margin(params)
     try:
         if path == "dense":
-            vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, k - 1))
+            vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, 0))
         else:
-            vals, vecs = _verified_shift_invert(H, op.basis, k, sigma)
+            vals, vecs = _verified_shift_invert(H, op.basis, sigma)
     except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
     else:
-        order = np.argsort(vals)
-        vals = np.asarray(vals)[order]
-        vecs = _fix_signs(np.asarray(vecs)[:, order])
-        residuals = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
-        if np.all(residuals <= RESIDUAL_TOL):
+        if vecs[np.argmax(np.abs(vecs[:, 0])), 0] < 0:  # largest coefficient positive
+            vecs = -vecs
+        residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+        if residuals[0] <= RESIDUAL_TOL:
             return SpectralResult(
                 parity=parity,
                 lambda_max=op.basis.lambda_max,
@@ -245,7 +237,7 @@ def lowest_eigenpairs(op: OperatorMatrix, k: int) -> SpectralResult:
                 path=path,
                 residuals=residuals,
             )
-        reason = f"residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
+        reason = f"residual {residuals[0]:.3e} exceeds {RESIDUAL_TOL:.1e}"
     raise ConvergenceError(
         f"{path} failed at dimension {dim}: {reason}",
         diagnostics={"dim": dim, "path": path, "reason": reason, "residuals": residuals},
@@ -288,33 +280,31 @@ def truncation_seed(params: ModelParams) -> dict:
     return record
 
 
-def _leak(r: np.ndarray, diag: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
-    """sum_h r_h^2 / (H_hh - E) per eigenvalue, infinite when a receiving
-    state h lies at or below E."""
-    gap = diag[:, None] - eigenvalues[None, :]
+def _leak(r: np.ndarray, diag: np.ndarray, energy: float) -> float:
+    """sum_h r_h^2 / (H_hh - E), infinite when a receiving state h lies at or
+    below E."""
+    gap = diag - energy
     if np.any(gap <= 0.0):
-        return np.full(eigenvalues.shape, np.inf)
-    return (r ** 2 / gap).sum(axis=0)
+        return math.inf
+    return (r ** 2 / gap).sum()
 
 
 def _leak_along(pos: np.ndarray, diag: np.ndarray, amp: np.ndarray, psi: np.ndarray,
-                eigenvalues: np.ndarray) -> np.ndarray:
+                energy: float) -> float:
     """The leak into states outside the window on one line of states, whose
     diagonal is diag: the state at pos[i] along it is fed with amplitude
-    amp[i] by a window state of coefficients psi[i], and a state fed twice
+    amp[i] by a window state of coefficient psi[i], and a state fed twice
     sums both.  Only the fed states are summed."""
     fed = np.zeros(diag.size, dtype=bool)
     fed[pos] = True
-    r = np.stack([np.bincount(pos, w, diag.size)[fed] for w in (amp[:, None] * psi).T],
-                 axis=1)
-    return _leak(r, diag[fed], eigenvalues)
+    return _leak(np.bincount(pos, amp * psi, diag.size)[fed], diag[fed], energy)
 
 
-def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
-               eigenvectors: np.ndarray) -> dict[str, np.ndarray]:
-    """Second-order energy each eigenpair leaks across each edge of the window,
-    sum r_h^2 / (H_hh - E) over the states h just outside that edge, with
-    r_h = sum_i H_hi psi_i over the window's states i.
+def edge_leaks(params: ModelParams, basis: SectorBasis, energy: float,
+               psi: np.ndarray) -> dict[str, float]:
+    """Second-order energy the ground state (energy, psi) leaks across each
+    edge of the window, sum r_h^2 / (H_hh - E) over the states h just
+    outside that edge, with r_h = sum_i H_hi psi_i over the window's states i.
 
     Across the lambda edge only a'J+ leaves: it carries the top shell
     lambda_top = max(lambda) (which differs from lambda_max when their
@@ -330,12 +320,12 @@ def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
     """
     n_atoms, omega, j = params.n_atoms, params.omega_a, params.j
     g = params.gamma / math.sqrt(n_atoms)
-    nu, ne, psi, offsets = basis.nu, basis.ne, eigenvectors, basis.offsets
+    nu, ne, offsets = basis.nu, basis.ne, basis.offsets
     last = offsets[1:][offsets[1:] > offsets[:-1]] - 1  # the last state of each column
     top = last[basis.lam[last] == basis.lam[last].max()]
     amp = g * np.sqrt(nu[top] + 1.0) * _spin_plus_amp(ne[top], n_atoms)
-    leaks = {"lambda": _leak(amp[:, None] * psi[top, :],
-                             nu[top] + 1.0 + omega * (ne[top] + 1.0 - j), eigenvalues)}
+    leaks = {"lambda": _leak(amp * psi[top], nu[top] + 1.0 + omega * (ne[top] + 1.0 - j),
+                             energy)}
     if basis.nu_lo > 0:
         col = slice(offsets[basis.nu_lo], offsets[basis.nu_lo + 1])
         ne_h = np.concatenate((ne[col] + 1, ne[col] - 1))
@@ -345,7 +335,7 @@ def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
         leaks["nu_lo"] = _leak_along(ne_h[keep],
                                      basis.nu_lo - 1 + omega * (np.arange(n_atoms + 1) - j),
                                      amp[keep], np.concatenate((psi[col], psi[col]))[keep],
-                                     eigenvalues)
+                                     energy)
     odd = basis.parity == "odd"
     for name, present, edge, dne, spin_amp in (
             ("ne_lo", basis.ne_lo > 0, basis.ne_lo, -1, _spin_minus_amp),
@@ -362,21 +352,21 @@ def edge_leaks(params: ModelParams, basis: SectorBasis, eigenvalues: np.ndarray,
         leaks[name] = _leak_along(nu_h[keep],
                                   np.arange(basis.lambda_max + 2) + omega * (edge + dne - j),
                                   amp[keep], np.concatenate((psi[src], psi[src]))[keep],
-                                  eigenvalues)
+                                  energy)
     return leaks
 
 
 def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
-                    k: int = 1, lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
-    """The k lowest eigenpairs of a sector, converged in truncation by one solve.
+                    lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
+    """The ground state of a sector, converged in truncation by one solve.
 
     The first window is truncation_seed's, with lambda_max lowered to
     ``lambda_cap`` when above it.  A solve is accepted when TRUNCATION_SAFETY
-    times its truncation estimate is at most ``tol`` |E| for every
-    eigenvalue; otherwise lambda_max grows by 2, every box edge moves out by
-    2 (as far as the space reaches) and the sector is solved again.  Raises
-    ConvergenceError (carrying the best result and its diagnostics) if
-    ``lambda_cap`` is exceeded.
+    times its truncation estimate is at most ``tol`` |E|; otherwise
+    lambda_max grows by 2, every box edge moves out by 2 (as far as the space
+    reaches) and the sector is solved again.  An empty window is not solved.
+    Raises ConvergenceError (carrying the best result, None when nothing was
+    solved, and its diagnostics) if ``lambda_cap`` is exceeded.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
@@ -389,19 +379,19 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
     best = None
     while lam <= lambda_cap:
         basis = build_sector_basis(params, lam, parity, nu_lo, ne_lo, ne_hi)
-        if basis.size >= k:  # the sector must hold at least k states
+        if basis.size > 0:  # a box above lambda_max holds no state
             try:
-                res = lowest_eigenpairs(build_hamiltonian(params, basis), k)
+                res = lowest_eigenpairs(build_hamiltonian(params, basis))
             except ConvergenceError as exc:
                 exc.diagnostics.update(seed, history=history)
                 raise
             res.seed = seed
-            res.truncation_estimate = sum(edge_leaks(params, basis, res.eigenvalues,
-                                                     res.eigenvectors).values())
+            energy = res.eigenvalues[0]
+            res.truncation_estimate = sum(edge_leaks(params, basis, energy,
+                                                     res.eigenvectors[:, 0]).values())
             history.append((lam, res.eigenvalues.copy()))
             res.history = history
-            if np.all(TRUNCATION_SAFETY * res.truncation_estimate
-                      <= tol * np.abs(res.eigenvalues)):
+            if TRUNCATION_SAFETY * res.truncation_estimate <= tol * abs(energy):
                 res.converged = True
                 return res
             best = res

@@ -139,20 +139,10 @@ def atom_statistics(params: ModelParams) -> tuple[float, float]:
     return 0.5 * n * (1.0 - xa ** -2), 0.5 * math.sqrt(n * one_minus_x4(xa))
 
 
-def lambda_statistics(params: ModelParams, phase: str | None = None) -> tuple[float, float]:
-    """Mean and fluctuation of the excitation number at the minimum, the sums
-    of the photon and atom means and of their widths in quadrature.
-
-    phase=None picks the global minimum for the given coupling; requesting
-    the superradiant branch below the separatrix is a domain error.
-    """
-    xa = abs(params.x)
-    if phase is None:
-        phase = "superradiant" if xa >= 1.0 else "normal"
-    if phase == "normal":
-        return 0.0, 0.0
-    if xa < 1.0:
-        raise ValueError("superradiant branch undefined for |x| < 1")
+def lambda_statistics(params: ModelParams) -> tuple[float, float]:
+    """Mean and fluctuation of the excitation number at the global minimum,
+    the sums of the photon and atom means and of their widths in quadrature
+    (both zero in the normal phase)."""
     (photon_mean, photon_width), (atom_mean, atom_width) = (photon_statistics(params),
                                                             atom_statistics(params))
     return photon_mean + atom_mean, math.hypot(photon_width, atom_width)
@@ -324,8 +314,9 @@ def normal_odd_energy(params: ModelParams, mixing_angle: float) -> float:
 
 # -- numeric differentiation -------------------------------------------------
 
-def numeric_gradient(func, coords: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of func(array4) -> float."""
+def numeric_gradient(func, coords: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of func(array4) -> float, step GRAD_STEP."""
+    h = GRAD_STEP
     coords = np.asarray(coords, dtype=float)
     grad = np.zeros_like(coords)
     for i in range(coords.size):
@@ -346,11 +337,10 @@ def _surface_func(params: ModelParams, surface: str):
     raise ValueError(f"unknown surface {surface!r}")
 
 
-def surface_gradient(params: ModelParams, parity: str, point: PhaseSpacePoint,
-                     h: float = GRAD_STEP) -> np.ndarray:
+def surface_gradient(params: ModelParams, parity: str, point: PhaseSpacePoint) -> np.ndarray:
     """Numeric gradient of the projected surface over (q, p, theta, phi)."""
     func = _surface_func(params, f"sas-{parity}")
-    return numeric_gradient(func, point.as_array(), h)
+    return numeric_gradient(func, point.as_array())
 
 
 @dataclass(frozen=True)
@@ -360,13 +350,13 @@ class CriticalClassification:
 
 
 def classify_critical(params: ModelParams, point: PhaseSpacePoint,
-                      surface: str = "coherent",
-                      h: float = HESS_STEP) -> CriticalClassification:
-    """Numeric-Hessian classification of a critical point.
+                      surface: str = "coherent") -> CriticalClassification:
+    """Numeric-Hessian classification of a critical point, step HESS_STEP.
 
     phi is excluded at theta = 0, where it is a chart singularity (the flat
     phi direction there is a coordinate artifact, not a degeneracy).
     """
+    h = HESS_STEP
     func = _surface_func(params, surface)
     base = point.as_array()
     active = [0, 1, 2] if abs(point.theta) < 1e-9 else [0, 1, 2, 3]

@@ -112,9 +112,9 @@ def test_criterion_03_fidelity():
     with _Timer("criterion 3: fidelity at N=40", 120.0):
         for gamma in (0.8, 1.0):
             for parity in ("even", "odd"):
-                val = fidelity(ModelParams(1.0, gamma, 40), parity)
+                val = fidelity(converge_ground(ModelParams(1.0, gamma, 40), parity))
                 assert val >= 0.99, (gamma, parity, val)
-        exact_one = fidelity(ModelParams(1.0, 0.0, 40), "even")
+        exact_one = fidelity(converge_ground(ModelParams(1.0, 0.0, 40), "even"))
         assert abs(exact_one - 1.0) <= 1e-12
         gammas = np.arange(0.05, 1.2000001, 0.05)
         for parity in ("even", "odd"):
@@ -191,7 +191,7 @@ def test_criterion_07_distributions():
                 ne = np.arange(11)[None, :]
                 holes = (nu + ne) % 2 == (1 if parity == "even" else 0)
                 assert np.all(jd.matrix[holes] == 0.0)
-                ph = marginal_photon(params, parity, nu_max=jd.nu_max)
+                ph = marginal_photon(params, parity)
                 at = marginal_excited(params, parity)
                 assert np.max(np.abs(ph - jd.matrix.sum(axis=1))) <= 1e-12
                 assert np.max(np.abs(at - jd.matrix.sum(axis=0))) <= 1e-12

@@ -349,9 +349,19 @@ CLI_CONTRACT = [
     pytest.param(("observables", "--source", "exact", "--n-atoms", "10", "--gamma", "1",
                   "--lambda-max-cap", "30", "--parity", "even"),
                  0, ["ConvergenceError"], id="observables-exact-capped"),
+    # N = 200 at x = 2: the superradiant box starts at nu = 100, above the cap
+    pytest.param(("observables", "--source", "exact", "--n-atoms", "200", "--gamma", "1",
+                  "--lambda-max-cap", "50"),
+                 0, ["ConvergenceError", "ConvergenceError"], id="observables-exact-empty-window"),
     pytest.param(("distributions", "--kind", "joint", "--parity", "odd", "--n-atoms", "6",
                   "--gamma", "0.5"),
                  0, ["ProjectionAnnihilationError"], id="distributions-joint-odd-separatrix"),
+    pytest.param(("distributions", "--kind", "photon", "--parity", "odd", "--n-atoms", "6",
+                  "--gamma", "0.5"),
+                 0, ["ProjectionAnnihilationError"], id="distributions-photon-odd-separatrix"),
+    pytest.param(("distributions", "--kind", "atom", "--parity", "odd", "--n-atoms", "6",
+                  "--gamma", "0.5"),
+                 0, ["ProjectionAnnihilationError"], id="distributions-atom-odd-separatrix"),
     pytest.param(("distributions", "--kind", "photon", "--parity", "even", "--n-atoms", "6",
                   "--gamma", "0.3"),
                  0, ["ValueError"], id="distributions-photon-normal-phase"),

@@ -20,6 +20,11 @@ from dickelab.model import ModelParams, build_sector_basis
 from dickelab.solver import SpectralResult, converge_ground
 
 
+def _fidelity(params, parity):
+    """The fidelity of a sector's trial state with its converged ground state."""
+    return fidelity(converge_ground(params, parity))
+
+
 class TestVariationalEnergy:
     def test_even_normal_constant(self):
         p = ModelParams(1.0, 0.2, 20)
@@ -46,32 +51,32 @@ class TestVariationalEnergy:
 
 class TestFidelity:
     def test_gamma_zero_even_is_exactly_one(self):
-        assert fidelity(ModelParams(1.0, 0.0, 12), "even") == pytest.approx(1.0, abs=1e-12)
+        assert _fidelity(ModelParams(1.0, 0.0, 12), "even") == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_zero_odd_subspace(self):
-        assert fidelity(ModelParams(1.0, 0.0, 8), "odd") == pytest.approx(1.0, abs=1e-12)
+        assert _fidelity(ModelParams(1.0, 0.0, 8), "odd") == pytest.approx(1.0, abs=1e-12)
 
     def test_high_coupling_close_to_one(self):
         for parity in ("even", "odd"):
-            val = fidelity(ModelParams(1.0, 1.0, 10), parity)
+            val = _fidelity(ModelParams(1.0, 1.0, 10), parity)
             assert 0.9 < val <= 1.0 + 1e-12
 
     def test_dip_near_separatrix(self):
-        near = fidelity(ModelParams(1.0, 0.5 + 1e-9, 10), "even")
-        far = fidelity(ModelParams(1.0, 0.9, 10), "even")
+        near = _fidelity(ModelParams(1.0, 0.5 + 1e-9, 10), "even")
+        far = _fidelity(ModelParams(1.0, 0.9, 10), "even")
         assert near < far
 
     def test_annihilation_at_separatrix(self):
         with pytest.raises(ProjectionAnnihilationError):
-            fidelity(ModelParams(1.0, 0.5, 10), "odd")
+            _fidelity(ModelParams(1.0, 0.5, 10), "odd")
 
     def test_normal_phase_odd_uses_two_state_ansatz(self):
-        val = fidelity(ModelParams(1.0, 0.1, 10), "odd")
+        val = _fidelity(ModelParams(1.0, 0.1, 10), "odd")
         assert val > 0.99
 
     def test_dip_shallower_at_larger_n(self):
-        f10 = fidelity(ModelParams(1.0, 0.6, 10), "even")
-        f50 = fidelity(ModelParams(1.0, 0.6, 50), "even")
+        f10 = _fidelity(ModelParams(1.0, 0.6, 10), "even")
+        f50 = _fidelity(ModelParams(1.0, 0.6, 50), "even")
         assert f10 < f50
 
     def test_gamma_zero_odd_outside_window_raises(self):
@@ -81,7 +86,7 @@ class TestFidelity:
         psi = np.full((basis.size, 1), basis.size ** -0.5)
         exact = SpectralResult("odd", 12, np.zeros(1), psi, basis)
         with pytest.raises(ValueError, match=r"\(nu=0, n_e=1\)"):
-            fidelity(p, "odd", exact=exact)
+            fidelity(exact)
 
     def test_curve_with_flags(self):
         curve = fidelity_curve(1.0, 6, "odd", [0.3, 0.5, 0.8], tol=1e-8)
@@ -280,9 +285,9 @@ class TestNegativeCoupling:
         if parity == "odd" and x == 1.0:  # the odd trial state is annihilated there
             for p in (plus, minus):
                 with pytest.raises(ProjectionAnnihilationError):
-                    fidelity(p, parity)
+                    _fidelity(p, parity)
             return
-        assert fidelity(minus, parity) == pytest.approx(fidelity(plus, parity), abs=1e-12)
+        assert _fidelity(minus, parity) == pytest.approx(_fidelity(plus, parity), abs=1e-12)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_start_vector_follows_the_sign(self, parity):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brute
+from dickelab import sas
 from dickelab.errors import ProjectionAnnihilationError, TruncationError
 from dickelab.model import ModelParams
 from dickelab.observables import ObservableSet, eigen_observables
@@ -203,10 +204,11 @@ class TestSasStateVector:
             # roundoff may put the truncated norm an ulp above 1
             assert -1e-12 <= state.norm_defect < 1e-10
 
-    def test_small_cutoff_raises(self):
+    def test_small_cutoff_raises(self, monkeypatch):
         p = ModelParams.from_ratio(1.0, 2.0, 10)
-        with pytest.raises(TruncationError):
-            build_sas_state(p, "even", nu_max=5)
+        monkeypatch.setattr(sas, "default_nu_max", lambda params: 5)
+        with pytest.raises(TruncationError, match="nu_max=5"):
+            build_sas_state(p, "even")
 
     def test_parity_holes(self):
         p = ModelParams.from_ratio(1.0, 1.4, 7)
@@ -274,7 +276,8 @@ class TestJointDistribution:
     def test_equals_squared_coefficients(self, parity):
         p = ModelParams.from_ratio(1.0, 2.0, 10)
         state = build_sas_state(p, parity)
-        jd = joint_distribution_sas(p, parity, nu_max=state.nu_max)
+        jd = joint_distribution_sas(p, parity)
+        assert jd.nu_max == state.nu_max
         assert np.max(np.abs(jd.matrix - state.coeffs**2)) < 1e-12
 
     def test_poisson_to_quasinormal_shift(self):
@@ -297,7 +300,7 @@ class TestMarginals:
     def test_match_joint_sums(self, parity, x):
         p = ModelParams.from_ratio(1.0, x, 10)
         jd = joint_distribution_sas(p, parity)
-        ph = marginal_photon(p, parity, nu_max=jd.nu_max)
+        ph = marginal_photon(p, parity)
         at = marginal_excited(p, parity)
         assert np.max(np.abs(ph - jd.matrix.sum(axis=1))) < 1e-12
         assert np.max(np.abs(at - jd.matrix.sum(axis=0))) < 1e-12
@@ -314,6 +317,25 @@ class TestMarginals:
         ne = np.arange(at.size)
         assert float(nu @ ph) == pytest.approx(obs.n_photons, abs=1e-10)
         assert float(ne @ at) == pytest.approx(obs.jz + 6.0, abs=1e-10)
+
+    # the odd norm 1 - F vanishes at x = 1; the joint distribution and both
+    # marginals share it
+    @pytest.mark.parametrize("n_atoms", [2, 10, 37])
+    @pytest.mark.parametrize("dx", [1e-9, 1e-8, 1e-3])
+    def test_odd_marginals_near_separatrix(self, n_atoms, dx):
+        p = ModelParams.from_ratio(1.0, 1.0 + dx, n_atoms)
+        jd = joint_distribution_sas(p, "odd").matrix
+        ph, at = marginal_photon(p, "odd"), marginal_excited(p, "odd")
+        assert abs(ph.sum() - 1.0) <= 5e-14 and abs(at.sum() - 1.0) <= 5e-14
+        assert np.max(np.abs(ph - jd.sum(axis=1))) <= 5e-14
+        assert np.max(np.abs(at - jd.sum(axis=0))) <= 5e-14
+
+    def test_odd_annihilation(self):
+        p = ModelParams.from_ratio(1.0, 1.0, 10)
+        for marginal in (marginal_photon, marginal_excited):
+            with pytest.raises(ProjectionAnnihilationError):
+                marginal(p, "odd")
+            assert marginal(p, "even")[0] == 1.0
 
     def test_even_odd_coincide_large_n(self):
         p = ModelParams.from_ratio(1.0, 2.0, 100)

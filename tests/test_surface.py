@@ -142,10 +142,6 @@ class TestLambdaStatistics:
         mean, _ = lambda_statistics(p)
         assert mean == pytest.approx(mu + jz + p.n_atoms / 2.0, rel=1e-12)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambda_statistics(ModelParams(1.0, 0.3, 8), phase="superradiant")
-
 
 class TestFFunction:
     def test_unity_at_separatrix(self):
@@ -234,7 +230,7 @@ class TestSasEnergyAtCritical:
         # continuity with the two-state odd block minimized at gamma = gamma_c
         p = ModelParams.from_ratio(1.0, 1.0, 10)
         basis = build_sector_basis(p, 1, "odd")
-        block = lowest_eigenpairs(build_hamiltonian(p, basis), 1)
+        block = lowest_eigenpairs(build_hamiltonian(p, basis))
         assert sas_energy_at_critical(p, "odd") == pytest.approx(block.eigenvalues[0], rel=1e-12)
 
     def test_superradiant_value_close_to_coherent(self):
@@ -287,7 +283,7 @@ class TestNormalOddState:
         st_ = normal_odd_state(p)
         assert st_.energy == pytest.approx(-p.j + 1.0 - 0.1, rel=1e-13)
         basis = build_sector_basis(p, 1, "odd")
-        block = lowest_eigenpairs(build_hamiltonian(p, basis), 1)
+        block = lowest_eigenpairs(build_hamiltonian(p, basis))
         assert st_.energy == pytest.approx(block.eigenvalues[0], rel=1e-12)
 
     def test_off_resonance_angle_and_stationarity(self):
@@ -305,7 +301,7 @@ class TestNormalOddState:
         p = ModelParams(0.5, 0.2, 8)
         st_ = normal_odd_state(p)
         basis = build_sector_basis(p, 1, "odd")
-        block = lowest_eigenpairs(build_hamiltonian(p, basis), 1)
+        block = lowest_eigenpairs(build_hamiltonian(p, basis))
         assert st_.energy == pytest.approx(block.eigenvalues[0], rel=1e-12)
 
     def test_gamma_zero_degenerate(self):

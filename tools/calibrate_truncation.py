@@ -70,15 +70,16 @@ def main(argv=None) -> int:
                     counts[verdict] += 1
                     dim_sum += res.basis.size
                     energy = abs(res.eigenvalues[0])
-                    leaks = solver.edge_leaks(p, res.basis, res.eigenvalues, res.eigenvectors)
+                    leaks = solver.edge_leaks(p, res.basis, res.eigenvalues[0],
+                                              res.eigenvectors[:, 0])
                     for edge in EDGES:
                         if edge in leaks:
-                            worst[edge] = max(worst[edge], leaks[edge][0] / (TOL * energy))
+                            worst[edge] = max(worst[edge], leaks[edge] / (TOL * energy))
                     if args.rise:
                         full = build_sector_basis(p, res.lambda_max, parity)
                         if full.size > res.basis.size:
-                            e_full = solver.lowest_eigenpairs(build_hamiltonian(p, full),
-                                                              1).eigenvalues[0]
+                            e_full = solver.lowest_eigenpairs(
+                                build_hamiltonian(p, full)).eigenvalues[0]
                             rise = max(rise, (res.eigenvalues[0] - e_full) / abs(e_full))
                     if args.list:
                         b = res.basis
