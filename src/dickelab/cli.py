@@ -27,7 +27,7 @@ from .compare import (
 from .dataset import Dataset
 from .errors import ConvergenceError, DickeLabError, ProjectionAnnihilationError
 from .observables import ObservableSet, eigen_observables
-from .sas import coherent_observables, sas_observables
+from .sas import coherent_observables, default_nu_max, sas_observables
 from .solver import DEFAULT_LAMBDA_CAP, converge_ground
 
 
@@ -169,13 +169,14 @@ def _cmd_fidelity(args) -> Dataset:
 
 def _cmd_distributions(args) -> Dataset:
     point = functools.partial(distribution_cells, kind=args.kind)
+    scan = sweep(args.omega_a, args.n_atoms, _gammas(args), _parities(args), point,
+                 (ValueError, ProjectionAnnihilationError))
     rows = [(params.gamma, parity, *(cells or (None, None, None)), flag)
-            for params, parity, cells, flag in sweep(
-                args.omega_a, args.n_atoms, _gammas(args), _parities(args), point,
-                (ValueError, ProjectionAnnihilationError))]
-    nu_max = 0
+            for params, parity, cells, flag in scan]
+    nu_max = 0  # the photon cutoff of the joint grid, whose last cells may be holes
     if args.kind == "joint":
-        nu_max = max((int(r[2][-1]) for r in rows if r[2] is not None), default=0)
+        nu_max = max((default_nu_max(params) for params, _, cells, _ in scan
+                      if cells is not None), default=0)
     meta = {**_base_meta(args), "kind": args.kind, "nu_max": nu_max}
     return Dataset(meta, ["gamma", "parity", "nu", "n_e", "p", "flag"], rows)
 

@@ -248,21 +248,38 @@ def smoothness_audit(omega_a: float = 1.0, n_atoms: int = 20,
 
 # -- distributions -------------------------------------------------------------------
 
-def distribution_cells(params: ModelParams, parity: str, kind: str) -> tuple:
-    """The projected state's distribution as (nu, n_e, p) columns of int and
-    float arrays: the joint P(nu, n_e) row by row (kind "joint"), or the
-    photon ("photon", n_e None) or excited-atom ("atom", nu None) marginal."""
+def _distribution(params: ModelParams, parity: str, kind: str) -> np.ndarray:
+    """The projected state's joint P(nu, n_e) matrix (kind "joint"), or its
+    photon ("photon") or excited-atom ("atom") marginal, on the full grid."""
     if kind == "joint":
-        m = joint_distribution_sas(params, parity).matrix
-        nu, ne = np.indices(m.shape)
-        return nu.ravel(), ne.ravel(), m.ravel()
+        return joint_distribution_sas(params, parity).matrix
     if kind == "photon":
-        p = marginal_photon(params, parity)
-        return np.arange(p.size), None, p
+        return marginal_photon(params, parity)
     if kind == "atom":
-        p = marginal_excited(params, parity)
-        return None, np.arange(p.size), p
+        return marginal_excited(params, parity)
     raise ValueError(f"kind must be 'joint', 'photon' or 'atom', got {kind!r}")
+
+
+def _on_support(*grids: np.ndarray) -> tuple:
+    """The grid indices of the cells where at least one of ``grids`` is not
+    exactly 0, in nu-major order, and each grid on those cells: the one rule
+    by which a distribution table drops its rows (a parity hole, or a tail
+    cell that underflowed)."""
+    index = np.nonzero(np.logical_or.reduce([g != 0 for g in grids]))
+    return index, [g[index] for g in grids]
+
+
+def distribution_cells(params: ModelParams, parity: str, kind: str) -> tuple:
+    """The projected state's distribution on its support, as (nu, n_e, p)
+    columns of int and float arrays: the cells of the joint P(nu, n_e) whose
+    p is not exactly 0, nu-major (kind "joint"), or those of the photon
+    ("photon", n_e None) or excited-atom ("atom", nu None) marginal."""
+    index, (p,) = _on_support(_distribution(params, parity, kind))
+    if kind == "joint":
+        return index[0], index[1], p
+    if kind == "photon":
+        return index[0], None, p
+    return None, index[0], p
 
 
 # -- figure datasets ---------------------------------------------------------------
@@ -404,9 +421,9 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
-    nu, ne, p_even = distribution_cells(p, "even", "joint")
-    p_odd = distribution_cells(p, "odd", "joint")[2]
-    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": int(nu[-1])})  # last cell (nu_max, N)
+    even, odd = (joint_distribution_sas(p, parity) for parity in ("even", "odd"))
+    (nu, ne), (p_even, p_odd) = _on_support(even.matrix, odd.matrix)  # holes complementary
+    meta.update({"n_atoms": n, "gamma": gamma, "nu_max": even.nu_max})
     return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], [(nu, ne, p_even, p_odd)])
 
 
@@ -434,9 +451,9 @@ def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     for gamma in gamma_list:
         p = ModelParams(omega_a, gamma, n)
         for kind in ("photon", "atom"):
-            p_even = distribution_cells(p, "even", kind)[2]
-            p_odd = distribution_cells(p, "odd", kind)[2]
-            rows.append((kind, gamma, np.arange(p_even.size), p_even, p_odd))
+            (k,), (p_even, p_odd) = _on_support(_distribution(p, "even", kind),
+                                                _distribution(p, "odd", kind))
+            rows.append((kind, gamma, k, p_even, p_odd))
     return Dataset(meta, ["kind", "gamma", "k", "p_even", "p_odd"], rows)
 
 

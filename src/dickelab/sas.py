@@ -304,7 +304,10 @@ def sas_coefficients_at(params: ModelParams, nu: np.ndarray, ne: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """P(nu, n_e) of a parity-projected state; parity holes are exact zeros."""
+    """P(nu, n_e) of a parity-projected state on the whole grid nu <= nu_max,
+    n_e <= N.  ``nu_max`` is the photon cutoff default_nu_max; parity holes
+    are exact zeros, which the written tables drop, so their last cell need
+    not lie at nu_max."""
 
     params: ModelParams
     parity: str

@@ -365,8 +365,10 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
     times its truncation estimate is at most ``tol`` |E|; otherwise
     lambda_max grows by 2, every box edge moves out by 2 (as far as the space
     reaches) and the sector is solved again.  An empty window is not solved.
-    Raises ConvergenceError (carrying the best result, None when nothing was
-    solved, and its diagnostics) if ``lambda_cap`` is exceeded.
+    Raises ConvergenceError (carrying the best result and its diagnostics) if
+    ``lambda_cap`` is exceeded; when every window up to the cap was empty, the
+    best result is None and the message and ``diagnostics["reason"]`` say so,
+    with ``dim`` 0.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
@@ -397,9 +399,13 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
             best = res
         lam += 2
         nu_lo, ne_lo, ne_hi = max(nu_lo - 2, 0), max(ne_lo - 2, 0), min(ne_hi + 2, params.n_atoms)
-    diagnostics = best.diagnostics() if best is not None else {"history": history, **seed}
+    if best is None:
+        reason = (f"window is empty below lambda_max cap {lambda_cap} "
+                  f"(nu_lo {seed['nu_lo']}, ne_lo {seed['ne_lo']})")
+        raise ConvergenceError(f"ground state not solved: {reason}", best=None, diagnostics={
+            "history": history, **seed, "dim": 0, "reason": reason, "tol": tol})
     raise ConvergenceError(
         f"ground state not converged below lambda_max cap {lambda_cap}",
         best=best,
-        diagnostics={**diagnostics, "tol": tol},
+        diagnostics={**best.diagnostics(), "tol": tol},
     )

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dickelab import __version__
+from dickelab import ModelParams, __version__, default_nu_max, joint_distribution_sas
 from dickelab.cli import _build_parser, main
 from dickelab.dataset import Dataset
 
@@ -162,6 +166,48 @@ class TestDistributions:
         lines = [l for l in out.strip().split("\n") if not l.startswith("#")]
         assert len(lines) == 1 + 7  # header + N+1 rows
 
+    @staticmethod
+    def _full_grid_rows(n_atoms, gamma, parities, fmt):
+        """The joint table's rendered rows on the whole (nu, n_e) grid, holes included."""
+        blocks = []
+        for parity in parities:
+            m = joint_distribution_sas(ModelParams(1.0, gamma, n_atoms), parity).matrix
+            nu, ne = np.indices(m.shape)
+            blocks.append((gamma, parity, nu.ravel(), ne.ravel(), m.ravel(), ""))
+        text = Dataset({}, ["gamma", "parity", "nu", "n_e", "p", "flag"], blocks).render(fmt)
+        return text.splitlines()[1:] if fmt == "csv" else json.loads(text)["rows"]
+
+    def test_examples_end_on_a_parity_hole(self):
+        # the last grid cell (nu_max, N) of the two @example sectors below
+        for n_atoms, parity in ((6, "even"), (7, "odd")):
+            m = joint_distribution_sas(ModelParams(1.0, 0.6, n_atoms), parity).matrix
+            assert m[-1, -1] == 0
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_atoms=st.integers(1, 40), gamma=st.floats(0.505, 1.5),
+           parity=st.sampled_from(["even", "odd", "both"]), fmt=st.sampled_from(["csv", "json"]))
+    @example(n_atoms=6, gamma=0.6, parity="even", fmt="csv")
+    @example(n_atoms=7, gamma=0.6, parity="odd", fmt="json")
+    def test_joint_rows_are_the_grid_without_its_zeros(self, n_atoms, gamma, parity, fmt):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["distributions", "--kind", "joint", "--n-atoms", str(n_atoms),
+                         "--gamma", repr(gamma), "--parity", parity, "--format", fmt]) == 0
+        out = stdout.getvalue()
+        parities = ["even", "odd"] if parity == "both" else [parity]
+        grid = self._full_grid_rows(n_atoms, gamma, parities, fmt)
+        if fmt == "csv":
+            lines = out.splitlines()
+            meta = dict(l[2:].split(" = ", 1) for l in lines if l.startswith("# "))
+            nu_max = int(meta["nu_max"])
+            rows = [l for l in lines if not l.startswith("#")][1:]
+            kept = [r for r in grid if r.split(",")[4] != "0"]
+        else:
+            payload = json.loads(out)
+            nu_max, rows = payload["meta"]["nu_max"], payload["rows"]
+            kept = [r for r in grid if r[4] != 0]
+        assert rows == kept
+        assert nu_max == default_nu_max(ModelParams(1.0, gamma, n_atoms))
+
 
 class TestFigures:
     def test_figure_4_series(self, capsys):
@@ -233,9 +279,13 @@ class TestCommandsMatchFigures:
         _, dist, _ = run_cli(capsys, "distributions", "--kind", "joint", "--n-atoms", n,
                              "--gamma", "0.55")
         fig, dist = _table(fig), _table(dist)
+        # figure 7 keeps a cell where either parity is non-zero; each parity's
+        # non-zero cells are the distributions rows, byte for byte
+        assert all(float(r["p_even"]) or float(r["p_odd"]) for r in fig)
         for parity in ("even", "odd"):
             cells = [(r["nu"], r["n_e"], r["p"]) for r in dist if r["parity"] == parity]
-            assert cells == [(r["nu"], r["n_e"], r[f"p_{parity}"]) for r in fig]
+            assert cells == [(r["nu"], r["n_e"], r[f"p_{parity}"]) for r in fig
+                             if float(r[f"p_{parity}"]) != 0]
 
     @pytest.mark.parametrize("n", ["6", "10"])
     def test_figure_9_is_the_marginals(self, capsys, n):

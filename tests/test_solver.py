@@ -459,6 +459,10 @@ class TestOneVerifiedSolve:
         assert err.value.best is None
         assert err.value.diagnostics["history"] == []
         assert solved == []
+        reason = "window is empty below lambda_max cap 50 (nu_lo 100, ne_lo 17)"
+        assert str(err.value) == f"ground state not solved: {reason}"
+        assert err.value.diagnostics["reason"] == reason
+        assert err.value.diagnostics["dim"] == 0
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_seed_above_default_cap_converges_at_the_cap(self, parity):

@@ -1,20 +1,27 @@
-"""Smoke test of tools/calibrate_truncation.py on a few sectors."""
+"""Smoke tests of tools/calibrate_truncation.py on a few sectors and of
+tools/cli_digest.py's comparison of two outputs."""
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "calibrate_truncation.py"
+import numpy as np
+import pytest
+
+from dickelab.dataset import Dataset
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("calibrate_truncation", TOOL)
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
-    tool = _load_tool()
+    tool = _load_tool("calibrate_truncation")
     # the normal phase, and at N = 40, x = 2.5 a sector boxed in at nu >= 9
     monkeypatch.setattr(tool, "OMEGAS", (1.0,))
     monkeypatch.setattr(tool, "ATOMS", (10, 40))
@@ -30,3 +37,28 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
         for n in (10, 40) for x in ("0.6", "2.5") for parity in ("even", "odd")]
     assert sum(" box=(9,0,40) " in line for line in lines[:8]) == 2
     assert "largest energy rise from the box" in lines[10]
+
+
+def _joint_table(nu, ne, p, fmt):
+    meta = {"command": "distributions", "kind": "joint", "nu_max": 1}
+    block = (0.55, "even", np.array(nu), np.array(ne), np.array(p, dtype=float), "")
+    return Dataset(meta, ["gamma", "parity", "nu", "n_e", "p", "flag"], [block]).render(fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("new,verdict", [
+    (([0, 0, 1, 1], [0, 1, 0, 1], [0.5, 0.0, 0.0, 0.5]), "identical"),
+    (([0, 1], [0, 1], [0.5, 0.5]), "support-identical"),  # the parity holes dropped
+    (([0, 1], [0, 1], [0.5, 0.5 + 1e-16]), "max-rel-diff 2.2e-16"),
+    (([0], [0], [0.5]), "MISMATCH row count"),  # a kept row missing
+    (([0, 1], [1, 0], [0.5, 0.5]), "MISMATCH index cell"),  # kept cells moved
+])
+def test_cli_digest_compares_distributions_on_their_support(monkeypatch, fmt, new, verdict):
+    tool = _load_tool("cli_digest")
+    old = ([0, 0, 1, 1], [0, 1, 0, 1], [0.5, 0.0, 0.0, 0.5])
+    stdout = {"old": _joint_table(*old, fmt), "new": _joint_table(*new, fmt)}
+    monkeypatch.setattr(tool, "run", lambda argv, src: subprocess.CompletedProcess(
+        argv, 0, stdout[src.name].encode(), b""))
+    argv = ["distributions", "--kind", "joint"]
+    line = tool.compare_line(argv, Path("new"), Path("old"), fmt)
+    assert line == f"{verdict} distributions --kind joint"

@@ -23,9 +23,14 @@ instead:
 runs every command in both checkouts and prints one line per command and
 format: ``identical <argv>`` when the bytes agree, else
 ``max-rel-diff <d> <argv>`` with the largest relative difference over the
-numeric cells (metadata included).  A line ``MISMATCH <what> <argv>``, and
+numeric cells (metadata included).  A distribution table (one with a
+``nu``, ``n_e`` or ``k`` column) is first reduced to its support on each
+side: the rows whose probability cells (``p``, ``p_even``, ``p_odd``) are
+all exactly 0 are dropped, and ``support-identical <argv>`` means that the
+rows left agree byte for byte.  A line ``MISMATCH <what> <argv>``, and
 exit code 1, mean that the exit codes, stderr, the metadata keys, the
-columns, the row counts, the nulls or a non-numeric cell differ.
+columns, the row counts (after the zero rows are dropped), a distribution's
+index cells, the nulls or a non-numeric cell differ.
 """
 from __future__ import annotations
 
@@ -94,6 +99,7 @@ COMMANDS = [
 ]
 
 FORMATS = ("csv", "json")
+INDEX_COLUMNS = {"nu", "n_e", "k"}  # a table holding one of these is a distribution
 
 
 def _sha(data: bytes) -> str:
@@ -123,6 +129,31 @@ def _csv_cell(text: str):
         return float(text)
     except ValueError:
         return text
+
+
+def _all_zero(columns: list, row: list) -> bool:
+    """Whether a distribution-table row's probability cells are all exactly 0."""
+    if not INDEX_COLUMNS & set(columns):
+        return False
+    probs = [v for c, v in zip(columns, row) if c == "p" or c.startswith("p_")]
+    return bool(probs) and all(_numeric(v) and v == 0 for v in probs)
+
+
+def _on_support(text: str, fmt: str) -> str:
+    """A rendered Dataset without the rows whose probabilities are all exactly 0.
+
+    JSON comes back re-dumped compactly, which keeps every cell's bytes: the
+    Dataset writes floats by repr and strings by json.dumps."""
+    if fmt == "json":
+        payload = json.loads(text)
+        payload["rows"] = [r for r in payload["rows"] if not _all_zero(payload["columns"], r)]
+        return json.dumps(payload, separators=(",", ":"))
+    lines = text.splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    columns = lines[body[0]].rstrip("\n").split(",")
+    drop = {i for i in body[1:]
+            if _all_zero(columns, [_csv_cell(c) for c in lines[i].rstrip("\n").split(",")])}
+    return "".join(line for i, line in enumerate(lines) if i not in drop)
 
 
 def _table(text: str, fmt: str) -> tuple[list, list, list]:
@@ -165,8 +196,11 @@ def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
             raise Mismatch(f"exit-code {old.returncode}->{new.returncode}")
         if new.stderr != old.stderr:
             raise Mismatch("stderr")
+        old_text, new_text = (_on_support(proc.stdout.decode(), fmt) for proc in (old, new))
+        if old_text == new_text:
+            return f"support-identical {shlex.join(argv)}"
         (old_meta, old_cols, old_rows), (new_meta, new_cols, new_rows) = (
-            _table(proc.stdout.decode(), fmt) for proc in (old, new))
+            _table(text, fmt) for text in (old_text, new_text))
         if [k for k, _ in old_meta] != [k for k, _ in new_meta]:
             raise Mismatch("metadata keys")
         if old_cols != new_cols:
@@ -174,6 +208,9 @@ def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
         if len(old_rows) != len(new_rows) or any(
                 len(a) != len(b) for a, b in zip(old_rows, new_rows)):
             raise Mismatch("row count")
+        index = [j for j, c in enumerate(new_cols) if c in INDEX_COLUMNS]
+        if any(a[j] != b[j] for a, b in zip(old_rows, new_rows) for j in index):
+            raise Mismatch("index cell")
         cells = [(a, b) for (_, a), (_, b) in zip(old_meta, new_meta)]
         cells += [pair for a, b in zip(old_rows, new_rows) for pair in zip(a, b)]
         worst = max((_cell_difference(a, b) for a, b in cells), default=0.0)
