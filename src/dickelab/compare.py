@@ -70,16 +70,20 @@ def _by_gamma(scan: list[tuple]) -> list[tuple]:
 def fidelity(exact: SpectralResult) -> float:
     """|<trial|exact ground of the sector>|^2, both in the exact result's basis.
 
-    At gamma = 0 the odd trial family is degenerate; the overlap with its
-    two-dimensional span is returned instead.  A normal-phase trial state
-    outside the exact result's window raises ValueError.
+    The trial state is the one the solve started from (``exact.trial``),
+    built again only where the solve kept none.  At gamma = 0 the odd trial
+    family is degenerate; the overlap with its two-dimensional span is
+    returned instead.  A normal-phase trial state outside the exact result's
+    window raises ValueError.
     """
     psi = exact.eigenvectors[:, 0]
     basis = exact.basis
     params, parity = basis.params, exact.parity
     if parity == "odd" and params.gamma == 0.0:
         return float(psi[basis.locate(0, 1)] ** 2 + psi[basis.locate(1, 0)] ** 2)
-    trial = variational_vector(params, parity, basis)
+    trial = exact.trial
+    if trial is None:
+        trial = variational_vector(params, parity, basis)
     return float(trial @ psi) ** 2
 
 

@@ -106,10 +106,25 @@ class SectorBasis:
         self.ne = (np.repeat(first - 2 * self.offsets[:-1], counts)
                    + 2 * np.arange(self.offsets[-1]))
         self.lam = self.nu + self.ne
+        self._neighbours: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def size(self) -> int:
         return self.nu.size
+
+    def neighbours(self, dnu: int, dne: int) -> tuple[np.ndarray, np.ndarray]:
+        """(src, tgt): every state src whose shift (nu + dnu, n_e + dne) lies
+        in the window, and that state's position tgt, src ascending.  The
+        shift must keep the parity and not lower nu (dnu >= 0, dnu + dne
+        even); the pairs of each shift are computed once per basis."""
+        if dnu < 0 or (dnu + dne) % 2:
+            raise ValueError(f"shift ({dnu}, {dne}) must keep the parity with dnu >= 0")
+        if (dnu, dne) not in self._neighbours:
+            src = np.flatnonzero((self.ne >= self.ne_lo - dne) & (self.ne <= self.ne_hi - dne)
+                                 & (self.lam <= self.lambda_max - dnu - dne))
+            tgt = self.offsets[self.nu[src] + dnu] + (self.ne[src] + dne - self.ne_lo) // 2
+            self._neighbours[dnu, dne] = src, tgt
+        return self._neighbours[dnu, dne]
 
     def index_of(self, nu: int, n_e: int) -> int:
         """Position of (nu, n_e) in the ordering, or -1 if outside the window."""
@@ -206,28 +221,23 @@ def build_hamiltonian(params: ModelParams, basis: SectorBasis) -> OperatorMatrix
 
     Diagonal: nu + omega_a (n_e - j).  Off-diagonal: (a'+a)(J+ + J-) scaled by
     g = gamma/sqrt(N), stored once as the raising couplings a'J+ and a'J-,
-    which carry (nu, n_e) to (nu+1, n_e+-1) in the next nu column, at
-    offsets[nu+1] + (n_e+-1 - ne_lo) // 2; in nu-major order every target
-    follows its source.  Couplings that leave the window are dropped.  Every
-    coupling changes lambda by 0 or +2, so parity is preserved exactly.  With
-    g = 0 there are no couplings; otherwise none is zero, since every
-    amplitude is at least |g|.
+    which carry (nu, n_e) to (nu+1, n_e+-1) in the next nu column (the
+    basis' neighbours); in nu-major order every target follows its source.
+    Couplings that leave the window are dropped.  Every coupling changes
+    lambda by 0 or +2, so parity is preserved exactly.  With g = 0 there are
+    no couplings; otherwise none is zero, since every amplitude is at least
+    |g|.
     """
     if basis.params != params:
         raise ValueError("basis was built for different model parameters")
     n_atoms = params.n_atoms
-    nu, ne = basis.nu, basis.ne
-    diag = nu + params.omega_a * (ne - params.j)
+    diag = basis.nu + params.omega_a * (basis.ne - params.j)
     g = params.gamma / math.sqrt(n_atoms)
-    # a'J+ must stay below lambda_max and ne_hi, a'J- above ne_lo
-    plus = np.flatnonzero((ne < basis.ne_hi) & (basis.lam <= basis.lambda_max - 2)
-                          & (g != 0.0))
-    minus = np.flatnonzero((ne > basis.ne_lo) & (g != 0.0))
+    if g == 0.0:
+        none = np.zeros(0, dtype=np.int64)
+        return OperatorMatrix(Stencil(diag, none, none, np.zeros(0)), basis)
+    (plus, plus_tgt), (minus, minus_tgt) = basis.neighbours(1, 1), basis.neighbours(1, -1)
     src = np.concatenate((plus, minus))
-    nu_up = nu[src] + 1
-    ne_plus, ne_minus = ne[plus], ne[minus]
-    tgt = basis.offsets[nu_up] + (np.concatenate((ne_plus + 1, ne_minus - 1))
-                                  - basis.ne_lo) // 2
-    val = g * np.sqrt(nu_up) * np.concatenate((_spin_plus_amp(ne_plus, n_atoms),
-                                               _spin_minus_amp(ne_minus, n_atoms)))
-    return OperatorMatrix(Stencil(diag, src, tgt, val), basis)
+    val = g * np.sqrt(basis.nu[src] + 1.0) * np.concatenate(
+        (_spin_plus_amp(basis.ne[plus], n_atoms), _spin_minus_amp(basis.ne[minus], n_atoms)))
+    return OperatorMatrix(Stencil(diag, src, np.concatenate((plus_tgt, minus_tgt)), val), basis)

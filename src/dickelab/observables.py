@@ -1,9 +1,14 @@
 """Expectation values and fluctuations evaluated directly from state vectors.
 
-States live on a rectangular (nu, n_e) grid; sector eigenvectors are embedded
-into that grid (with two extra photon rows so ladder applications never
-truncate).  Odd operators (q, p, Jx, Jy) flip parity, so their means vanish
-identically on a fixed-parity state -- they are computed anyway.
+A sector eigenvector is read on its own window (eigen_observables): the odd
+operators q, p, Jx and Jy flip parity, so their means are exactly 0 on a
+fixed-parity state, and every other entry comes from the weights psi^2 and
+three pairs of neighbouring states, (nu, n_e+2) for <J+^2>, (nu+2, n_e) for
+<a^2> and the couplings (nu+1, n_e+-1) for <Jx q>.
+
+grid_observables applies the ladder operators to a rectangular (nu, n_e)
+grid instead.  It serves the constructed projected state, and with
+embed_grid it is the reference the window version is checked against.
 """
 from __future__ import annotations
 
@@ -120,20 +125,75 @@ def embed_grid(vector: np.ndarray, basis: SectorBasis, pad: int = 2) -> np.ndarr
     return g
 
 
-def _check_unit_norm(vector: np.ndarray, tol: float = 1e-10) -> None:
+def _check_state(vector: np.ndarray, basis: SectorBasis, tol: float = 1e-10) -> None:
+    """ValueError unless vector is a unit-norm state of the basis."""
+    if vector.shape != (basis.size,):
+        raise ValueError(f"state vector of shape {vector.shape} is not one of the "
+                         f"{basis.size} states of the basis")
     norm = np.linalg.norm(vector)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state vector norm {norm} deviates from 1 by more than {tol}")
 
 
+def _pair_sum(psi: np.ndarray, basis: SectorBasis, shift: tuple[int, int],
+              photon_amp: np.ndarray, atom_amp: np.ndarray) -> float:
+    """sum psi[src] psi[tgt] photon_amp[nu] atom_amp[n_e] over the neighbour
+    pairs of a shift, with (nu, n_e) the source state: <psi|O|psi> for the
+    part of an operator O that moves a state by the shift, whose matrix
+    element factorizes into a photon and an atom amplitude."""
+    src, tgt = basis.neighbours(*shift)
+    return float((psi[src] * psi[tgt] * atom_amp[basis.ne[src]]) @ photon_amp[basis.nu[src]])
+
+
 def eigen_observables(vector: np.ndarray, basis: SectorBasis) -> ObservableSet:
-    """ObservableSet of a unit-norm eigenvector given in SectorBasis ordering."""
-    _check_unit_norm(vector)
-    return grid_observables(embed_grid(vector, basis), basis.params.n_atoms)
+    """ObservableSet of a unit-norm eigenvector given in SectorBasis ordering.
+
+    The moments of nu and Jz come from the weights psi^2 summed per photon
+    number.  With <a^2> and <J+^2> from the neighbour pairs, var_q and var_p
+    are <n> + 1/2 +- <a^2>, var_jx and var_jy are (j(j+1) - <Jz^2> +-
+    <J+^2>)/2, and <Jx q> = <(a + a')(J+ + J-)>/(2 sqrt 2) sums the raising
+    couplings a'J+ and a'J- without g.
+    """
+    _check_state(vector, basis)
+    n_atoms, j = basis.params.n_atoms, basis.params.j
+    psi = vector
+    k = np.arange(basis.lambda_max + 1.0)  # photon numbers
+    m = np.arange(n_atoms + 1.0)           # excited atoms
+    w = psi * psi
+    jz = basis.ne - j
+    w_jz = w * jz
+    # per photon number: the weight, and its share of <Jz>
+    col, col_jz = np.bincount(basis.nu, w, k.size), np.bincount(basis.nu, w_jz, k.size)
+    n_mean, jz_mean = float(col @ k), float(w_jz.sum())
+    var_n = float(col @ (k * k)) - n_mean ** 2
+    jz_sq = float(w_jz @ jz)
+    var_jz = jz_sq - jz_mean ** 2
+    jz_n = float(col_jz @ k)
+    plus, root = _spin_plus_amp(m, n_atoms), np.sqrt(k + 1.0)
+    a_sq = _pair_sum(psi, basis, (2, 0), root * np.sqrt(k + 2.0), np.ones(m.size))
+    jplus_sq = _pair_sum(psi, basis, (0, 2), np.ones(k.size), plus[:-1] * plus[1:])
+    coupling = (_pair_sum(psi, basis, (1, 1), root, plus)
+                + _pair_sum(psi, basis, (1, -1), root, _spin_minus_amp(m, n_atoms)))
+    transverse = 0.5 * (j * (j + 1.0) - jz_sq)
+    return ObservableSet(
+        q=0.0, p=0.0, jx=0.0, jy=0.0,
+        jz=jz_mean,
+        n_photons=n_mean,
+        lam=n_mean + jz_mean + j,
+        var_q=n_mean + 0.5 + a_sq,
+        var_p=n_mean + 0.5 - a_sq,
+        var_jx=transverse + 0.5 * jplus_sq,
+        var_jy=transverse - 0.5 * jplus_sq,
+        var_jz=var_jz,
+        var_n_photons=var_n,
+        var_lam=var_n + var_jz + 2.0 * (jz_n - n_mean * jz_mean),
+        jz_n_photons=jz_n,
+        jx_q=coupling / math.sqrt(2.0),
+    )
 
 
 def joint_distribution_exact(vector: np.ndarray, basis: SectorBasis) -> np.ndarray:
     """P(nu, n_e) = |coefficient|^2 on the (lambda_max+1, N+1) grid."""
-    _check_unit_norm(vector)
+    _check_state(vector, basis)
     g = embed_grid(vector, basis, pad=0)
     return g * g

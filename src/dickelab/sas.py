@@ -4,9 +4,9 @@ distributions with their Gaussian limits.
 
 Everything is evaluated at the superradiant critical point and expressed in
 mu = N gamma_c^2 x^2 (1 - x^-4) (the coherent photon number) and the overlap
-decay factor F.  Factorials and binomials go through log-gamma; F stays in
-the log domain.  Useful identities: x^N sqrt(F) = exp(-mu) and
-x^(2N) F = exp(-2 mu).
+decay factor F.  Factorials and binomials are read from one table of
+log k! (_log_factorial); F stays in the log domain.  Useful identities:
+x^N sqrt(F) = exp(-mu) and x^(2N) F = exp(-2 mu).
 
 sas_observables writes both parities in one form, with s = +1 (even) or
 -1 (odd) and r = (1 - x^-4)/(1 + sF) from surface._projection_factors.  It
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ProjectionAnnihilationError, TruncationError
 from .model import ModelParams
@@ -207,17 +206,49 @@ class SASStateVector:
     norm_defect: float
 
 
-def _log_amplitude(params: ModelParams, nu, ne):
-    """Log magnitude of the projected-state coefficient at (nu, n_e), without
-    parity and normalization; callers ensure |x| > 1."""
+def _log_factorial_table(size: int) -> np.ndarray:
+    """log k! for k < size, as the running sum of math.log(k) with Neumaier's
+    compensation: each entry lies within an ulp of the exact value (math.lgamma
+    is up to 3 ulps off, log 2! included)."""
+    table = np.zeros(size)
+    total = carry = 0.0
+    for k in range(2, size):
+        term = math.log(k)
+        new = total + term
+        carry += (total - new) + term if total >= term else (term - new) + total
+        total = new
+        table[k] = total + carry
+    return table
+
+
+_LOG_FACTORIALS = np.zeros(0)  # rebuilt, at least doubling, by _log_factorial
+
+
+def _log_factorial(k) -> np.ndarray:
+    """log k! for an integer k >= 0 or an array of them, read from one table
+    that is rebuilt to cover the largest k asked for."""
+    global _LOG_FACTORIALS
+    k = np.asarray(k)
+    if k.size and k.max() >= _LOG_FACTORIALS.size:
+        _LOG_FACTORIALS = _log_factorial_table(max(int(k.max()) + 1, 2 * _LOG_FACTORIALS.size))
+    return _LOG_FACTORIALS[k]
+
+
+def _log_amplitude(params: ModelParams, nu, ne) -> tuple[np.ndarray, np.ndarray]:
+    """Log magnitude of the projected-state coefficient, without parity and
+    normalization, as a photon part at integer nu plus an atom part at
+    integer n_e: half the log of the Poisson(mu) weight mu^nu/nu! and of the
+    binomial weight C(N, n_e) (1 - x^-2)^n_e (1 + x^-2)^(N - n_e).  Callers
+    ensure |x| > 1."""
     xa = abs(params.x)
     n = params.n_atoms
-    log_alpha = math.log(math.sqrt(n) * params.gamma_c * xa)
     log_one_minus = math.log(-math.expm1(-2.0 * math.log(xa)))
     log_one_plus = math.log1p(xa ** -2)
-    log_binom = gammaln(n + 1) - gammaln(ne + 1) - gammaln(n - ne + 1)
-    return (nu * log_alpha - 0.5 * gammaln(nu + 1.0) + 0.5 * log_binom
-            + 0.5 * (nu + ne) * log_one_minus + 0.5 * (n + nu - ne) * log_one_plus)
+    log_mu = 2.0 * math.log(math.sqrt(n) * params.gamma_c * xa) + log_one_minus + log_one_plus
+    photon = 0.5 * (nu * log_mu - _log_factorial(nu))
+    atom = 0.5 * (_log_factorial(n) - _log_factorial(ne) - _log_factorial(n - ne)
+                  + ne * log_one_minus + (n - ne) * log_one_plus)
+    return photon, atom
 
 
 def _one_plus_exp(s, t: float) -> np.ndarray:
@@ -250,13 +281,14 @@ def _projected_log_amplitude(params: ModelParams,
     if xa == 1.0:
         return 0, np.zeros((1, n + 1)), np.arange(n + 1)[None, :] == 0
     nu_max = default_nu_max(params)
-    nu = np.arange(nu_max + 1)[:, None]
-    ne = np.arange(n + 1)[None, :]
+    nu, ne = np.arange(nu_max + 1), np.arange(n + 1)
     # the even log(1 + F) through log1p, which rounding 1 + F first would lose
     log_denom = math.log1p(f_function(params).f) if parity == "even" else math.log(norm)
     log_norm = (0.5 * (1.0 - n) * math.log(2.0) - 0.5 * photon_number_coherent(params)
                 - 0.5 * log_denom)
-    return nu_max, _log_amplitude(params, nu, ne) + log_norm, (nu + ne) % 2 == (parity == "odd")
+    photon, atom = _log_amplitude(params, nu, ne)
+    return (nu_max, photon[:, None] + (atom + log_norm)[None, :],
+            (nu[:, None] + ne[None, :]) % 2 == (parity == "odd"))
 
 
 def build_sas_state(params: ModelParams, parity: str) -> SASStateVector:
@@ -286,17 +318,18 @@ def state_observables(state: SASStateVector) -> ObservableSet:
 
 
 def sas_coefficients_at(params: ModelParams, nu: np.ndarray, ne: np.ndarray) -> np.ndarray:
-    """Normalized projected-state coefficients on given (nu, n_e) index pairs.
+    """Normalized projected-state coefficients on given integer (nu, n_e) pairs.
 
     The pairs are assumed to all share one parity and to cover the state's
     support (a converged sector basis does); the result is renormalized on
     that support.  Requires |x| > 1.
     """
     _require_superradiant(params, strict=True)
-    nu = np.asarray(nu, dtype=float)
-    half = _log_amplitude(params, nu, np.asarray(ne, dtype=float))
+    photons = np.arange(nu.max() + 1)
+    photon, atom = _log_amplitude(params, photons, np.arange(params.n_atoms + 1))
+    half = photon[nu] + atom[ne]
     half -= half.max()  # normalization removes the shift
-    coeffs = _photon_sign(params) ** nu * np.exp(half)
+    coeffs = (_photon_sign(params) ** photons)[nu] * np.exp(half)
     return coeffs / np.linalg.norm(coeffs)
 
 
@@ -335,7 +368,7 @@ def marginal_photon(params: ModelParams, parity: str) -> np.ndarray:
         base = np.zeros(nu_max + 1)
         base[0] = 1.0
     else:
-        base = np.exp(nu * math.log(mu) - gammaln(nu + 1.0) - mu)
+        base = np.exp(nu * math.log(mu) - _log_factorial(nu) - mu)
     return base * _one_plus_exp(sgn * (-1.0) ** nu, -2.0 * params.n_atoms * math.log(xa)) / norm
 
 
@@ -347,7 +380,7 @@ def marginal_excited(params: ModelParams, parity: str) -> np.ndarray:
     norm = _projection_norm(params, parity)
     n = params.n_atoms
     ne = np.arange(n + 1)
-    log_binom = gammaln(n + 1) - gammaln(ne + 1) - gammaln(n - ne + 1)
+    log_binom = _log_factorial(n) - _log_factorial(ne) - _log_factorial(n - ne)
     if xa == 1.0:
         base = np.zeros(n + 1)
         base[0] = 1.0

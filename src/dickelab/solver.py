@@ -70,6 +70,9 @@ class SpectralResult:
     ``truncation_estimate`` is the second-order energy leak, summed over the
     window's edge_leaks, and ``seed`` the truncation_seed record (both set
     by converge_ground).
+    ``trial`` is the variational_vector the shift-invert solve started from,
+    which fidelity reads; None on the dense path and where the sector has no
+    trial state in the window.
     """
 
     parity: str
@@ -83,6 +86,7 @@ class SpectralResult:
     residuals: np.ndarray | None = None
     truncation_estimate: float | None = None
     seed: dict = field(default_factory=dict)
+    trial: np.ndarray | None = None
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
@@ -168,8 +172,9 @@ def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
     return band
 
 
-def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float):
-    """Shift-invert ARPACK at sigma, after proving sigma below every eigenvalue."""
+def _verified_shift_invert(H: Stencil, sigma: float, v0: np.ndarray):
+    """Shift-invert ARPACK at sigma from v0, after proving sigma below every
+    eigenvalue."""
     n = H.shape[0]
     chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
     if info > 0:  # the Cholesky factor exists exactly when H - sigma I is positive definite
@@ -182,25 +187,32 @@ def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float):
     # this tol meets RESIDUAL_TOL without iterating on to machine precision.
     # By symmetry the 1-norm, a largest column sum, is the largest row sum.
     tol = RESIDUAL_TOL / (np.abs(H.diag - sigma) + H.radii()).max()
-    return spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=_start_vector(basis),
+    return spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
                       ncv=min(n, 6), tol=tol)
 
 
-def _start_vector(basis: SectorBasis) -> np.ndarray:
-    """The variational state, else (the degenerate odd state at gamma = 0, the
-    annihilated one at x = 1, a normal-phase state outside the window) a
-    fixed-seed vector, so that equal inputs give equal bits."""
+def _trial_state(basis: SectorBasis) -> np.ndarray | None:
+    """The variational state, or None where there is none to start from: the
+    degenerate odd state at gamma = 0, the annihilated one at x = 1, a
+    normal-phase state outside the window."""
     try:
         return variational_vector(basis.params, basis.parity, basis)
     except (ValueError, ProjectionAnnihilationError):
-        return np.random.default_rng(0).uniform(-1.0, 1.0, basis.size)
+        return None
+
+
+def _fixed_start(n: int) -> np.ndarray:
+    """The start vector of a sector without a trial state: fixed-seed, so that
+    equal inputs give equal bits."""
+    return np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
 
 def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
     """The lowest eigenpair of a symmetric operator on a sector, residual-checked.
 
     Up to DENSE_CUTOFF states dense LAPACK solves the sector.  Above it one
-    _verified_shift_invert runs from _start_vector at the shift the sector
+    _verified_shift_invert runs from the sector's _trial_state, kept as the
+    result's ``trial`` (else from _fixed_start), at the shift the sector
     supplies, shift_margin below its variational energy.  The shift is
     accepted only when the Cholesky factorization of H - sigma I succeeds,
     which proves it below every eigenvalue.  A rejected shift (named with the
@@ -210,17 +222,19 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
     dim = op.dimension
     H = op.matrix
     params, parity = op.basis.params, op.basis.parity
-    residuals = None
+    residuals = trial = None
     if dim <= DENSE_CUTOFF:
         path = "dense"
     else:
         path = "variational shift-invert"
         sigma = variational_energy(params, parity) - shift_margin(params)
+        trial = _trial_state(op.basis)
     try:
         if path == "dense":
             vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, 0))
         else:
-            vals, vecs = _verified_shift_invert(H, op.basis, sigma)
+            vals, vecs = _verified_shift_invert(
+                H, sigma, _fixed_start(dim) if trial is None else trial)
     except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
     else:
@@ -236,6 +250,7 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
                 basis=op.basis,
                 path=path,
                 residuals=residuals,
+                trial=trial,
             )
         reason = f"residual {residuals[0]:.3e} exceeds {RESIDUAL_TOL:.1e}"
     raise ConvergenceError(

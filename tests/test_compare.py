@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dickelab import compare, solver
 from dickelab.compare import (
     FidelityCurve,
     fidelity,
@@ -87,6 +88,21 @@ class TestFidelity:
         exact = SpectralResult("odd", 12, np.zeros(1), psi, basis)
         with pytest.raises(ValueError, match=r"\(nu=0, n_e=1\)"):
             fidelity(exact)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_reads_the_trial_state_the_solve_started_from(self, monkeypatch, parity):
+        p = ModelParams.from_ratio(1.0, 2.0, 60)
+        exact = converge_ground(p, parity)
+        assert exact.path == "variational shift-invert"
+        fresh = variational_vector(p, parity, exact.basis)
+        assert np.array_equal(exact.trial, fresh)
+        assert fidelity(exact) == float(fresh @ exact.eigenvectors[:, 0]) ** 2
+        built = []
+        coefficients = solver.sas_coefficients_at
+        monkeypatch.setattr(solver, "sas_coefficients_at",
+                            lambda *args: built.append(args) or coefficients(*args))
+        compare._fidelity_point(p, parity, 1e-8, solver.DEFAULT_LAMBDA_CAP)
+        assert len(built) == 1  # the start vector of the one solve
 
     def test_curve_with_flags(self):
         curve = fidelity_curve(1.0, 6, "odd", [0.3, 0.5, 0.8], tol=1e-8)

@@ -143,6 +143,29 @@ class TestSectorBasis:
             with pytest.raises(ValueError, match=rf"\(nu={nu}, n_e={ne}\)"):
                 basis.locate(nu, ne)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(0, 20),
+           parity=st.sampled_from(PARITIES),
+           box=st.tuples(st.integers(0, 8), st.integers(0, 12), st.integers(0, 12)),
+           shift=st.sampled_from([(0, 2), (2, 0), (1, 1), (1, -1), (3, -1), (0, -2)]))
+    def test_neighbours_are_the_shifted_states_in_the_window(self, n_atoms, lambda_max,
+                                                            parity, box, shift):
+        p = ModelParams(1.0, 0.5, n_atoms)
+        nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
+        basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
+        src, tgt = basis.neighbours(*shift)
+        want = [(i, basis.index_of(nu + shift[0], ne + shift[1]))
+                for i, (nu, ne) in enumerate(zip(basis.nu, basis.ne))]
+        want = [(i, j) for i, j in want if j >= 0]
+        assert list(zip(src.tolist(), tgt.tolist())) == want
+        assert basis.neighbours(*shift)[0] is src  # computed once per basis
+
+    @pytest.mark.parametrize("shift", [(-1, 1), (1, 0), (0, 1)])
+    def test_neighbours_keep_the_parity_and_raise_nu(self, shift):
+        basis = build_sector_basis(ModelParams(1.0, 0.5, 4), 8, "even")
+        with pytest.raises(ValueError, match="must keep the parity"):
+            basis.neighbours(*shift)
+
     def test_every_basis_is_a_parity_sector(self):
         p = ModelParams(1.0, 0.5, 4)
         for parity in (None, "both"):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import brute
 from dickelab.model import ModelParams, build_sector_basis
 from dickelab.observables import (
     ObservableSet,
     eigen_observables,
+    embed_grid,
+    grid_observables,
     joint_distribution_exact,
 )
 from dickelab.sas import sas_observables
@@ -72,6 +76,42 @@ class TestEigenObservables:
         bad[0] = 0.9
         with pytest.raises(ValueError, match="norm"):
             eigen_observables(bad, basis)
+
+
+class TestWindowObservables:
+    """eigen_observables reads the window; the ladder operators applied to
+    the embedded grid are the reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(0, 20),
+           omega_a=st.floats(0.25, 9.0), gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           parity=st.sampled_from(["even", "odd"]), boxed=st.booleans(),
+           box=st.tuples(st.integers(0, 6), st.integers(0, 12), st.integers(0, 12)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_atoms=12, lambda_max=20, omega_a=1.0, gamma=0.0, parity="odd", boxed=True,
+             box=(2, 3, 9), seed=0)
+    def test_matches_the_grid(self, n_atoms, lambda_max, omega_a, gamma, parity, boxed, box,
+                              seed):
+        p = ModelParams(omega_a, gamma, n_atoms)
+        if boxed:
+            nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
+            basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
+        else:
+            basis = build_sector_basis(p, lambda_max, parity)
+        if basis.size == 0:
+            return
+        vec = np.random.default_rng(seed).normal(size=basis.size)
+        vec /= np.linalg.norm(vec)
+        obs = eigen_observables(vec, basis)
+        ref = grid_observables(embed_grid(vec, basis), n_atoms)
+        for name in ObservableSet.names():
+            a, b = getattr(obs, name), getattr(ref, name)
+            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+        for name in ("q", "p", "jx", "jy"):
+            assert getattr(obs, name) == 0.0, name
+        for size in {max(basis.size - 1, 1), basis.size + 1} - {basis.size}:
+            with pytest.raises(ValueError, match="not one of the"):
+                eigen_observables(np.full(size, size ** -0.5), basis)
 
 
 class TestJointDistributionExact:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import brute
 from dickelab import sas
@@ -350,6 +355,37 @@ class TestMarginals:
         d_far = np.max(np.abs(marginal_excited(far, "even") - marginal_excited(far, "odd")))
         assert d_near > 0.05
         assert d_far < 1e-6
+
+
+class TestLogFactorial:
+    def test_against_gammaln(self):
+        k = np.arange(20001)
+        want = gammaln(k + 1.0)
+        got = sas._log_factorial(k)
+        assert np.all(np.abs(got - want) <= 5e-16 * want)
+
+    def test_growth_matches_a_fresh_table(self, monkeypatch):
+        monkeypatch.setattr(sas, "_LOG_FACTORIALS", sas._log_factorial_table(10))
+        assert sas._log_factorial(3) == sas._log_factorial_table(4)[3]
+        k = np.array([[0, 7], [9, 1234]])  # past the table's size
+        assert np.array_equal(sas._log_factorial(k), sas._log_factorial_table(1235)[k])
+        assert sas._LOG_FACTORIALS.size == 1235
+        assert sas._log_factorial(1235) == sas._log_factorial_table(2470)[1235]  # doubled
+        assert sas._LOG_FACTORIALS.size == 2470
+
+
+@pytest.mark.parametrize("argv", [
+    ["observables", "--source", "sas", "--n-atoms", "100", "--gamma", "1"],
+    ["distributions", "--kind", "joint", "--n-atoms", "40", "--gamma", "0.7"],
+])
+def test_closed_forms_load_no_scipy_special(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from dickelab.cli import main; main(sys.argv[1:]); "
+            "print('scipy.special' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.count("\n") > 5
+    assert done.stderr.splitlines()[-1] == "False"
 
 
 class TestGaussianLimits:

@@ -620,12 +620,12 @@ class TestShiftProof:
         H = build_hamiltonian(p, basis).matrix
         e0, e1 = np.linalg.eigvalsh(
             brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)[0])[:2]
-        vals, _ = solver._verified_shift_invert(H, basis, e0 - below)
+        vals, _ = solver._verified_shift_invert(H, e0 - below, solver._fixed_start(basis.size))
         assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
         if e1 - e0 > 1e-6:  # a shift inside a near-degenerate pair is below rounding
             sigma = e0 + between * (e1 - e0)
             with pytest.raises(RuntimeError, match=re.escape(f"shift {sigma:.6g} is not below")):
-                solver._verified_shift_invert(H, basis, sigma)
+                solver._verified_shift_invert(H, sigma, solver._fixed_start(basis.size))
 
 
 class TestClosedFormSizing:

@@ -49,7 +49,7 @@ def _joint_table(nu, ne, p, fmt):
 @pytest.mark.parametrize("new,verdict", [
     (([0, 0, 1, 1], [0, 1, 0, 1], [0.5, 0.0, 0.0, 0.5]), "identical"),
     (([0, 1], [0, 1], [0.5, 0.5]), "support-identical"),  # the parity holes dropped
-    (([0, 1], [0, 1], [0.5, 0.5 + 1e-16]), "max-rel-diff 2.2e-16"),
+    (([0, 1], [0, 1], [0.5, 0.5 + 1e-16]), "max-rel-diff 2.2e-16 p"),
     (([0], [0], [0.5]), "MISMATCH row count"),  # a kept row missing
     (([0, 1], [1, 0], [0.5, 0.5]), "MISMATCH index cell"),  # kept cells moved
 ])
@@ -62,3 +62,20 @@ def test_cli_digest_compares_distributions_on_their_support(monkeypatch, fmt, ne
     argv = ["distributions", "--kind", "joint"]
     line = tool.compare_line(argv, Path("new"), Path("old"), fmt)
     assert line == f"{verdict} distributions --kind joint"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_digest_compares_rounding_residue_absolutely(monkeypatch, fmt):
+    # dev moves from 1e-16 to 3e-16, a relative change of 0.67 but rounding
+    # residue both times; exact moves by one ulp, which is the worst change
+    tool = _load_tool("cli_digest")
+
+    def table(exact, dev):
+        return Dataset({"command": "verify"}, ["name", "exact", "dev"],
+                       [("jz", exact, dev)]).render(fmt)
+
+    stdout = {"old": table(-4.0, 1e-16), "new": table(-4.000000000000001, 3e-16)}
+    monkeypatch.setattr(tool, "run", lambda argv, src: subprocess.CompletedProcess(
+        argv, 0, stdout[src.name].encode(), b""))
+    assert tool.compare_line(["verify"], Path("new"), Path("old"), fmt) == (
+        "max-rel-diff 2.2e-16 exact verify")

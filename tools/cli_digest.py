@@ -22,8 +22,11 @@ instead:
 
 runs every command in both checkouts and prints one line per command and
 format: ``identical <argv>`` when the bytes agree, else
-``max-rel-diff <d> <argv>`` with the largest relative difference over the
-numeric cells (metadata included).  A distribution table (one with a
+``max-rel-diff <d> <column> <argv>`` with the largest relative difference
+over the numeric cells (metadata included) and the column (or metadata
+key) that holds it.  Two cells both below 1e-12 in magnitude, rounding
+residue such as ``verify``'s ``dev_closed_oracle``, are compared by their
+absolute difference.  A distribution table (one with a
 ``nu``, ``n_e`` or ``k`` column) is first reduced to its support on each
 side: the rows whose probability cells (``p``, ``p_even``, ``p_odd``) are
 all exactly 0 are dropped, and ``support-identical <argv>`` means that the
@@ -173,7 +176,8 @@ def _numeric(v) -> bool:
 
 
 def _cell_difference(old, new) -> float:
-    """Relative difference of two numeric cells; raises Mismatch on any other change."""
+    """Relative difference of two numeric cells, absolute when both are below
+    1e-12 in magnitude; raises Mismatch on any other change."""
     if (old is None) != (new is None):
         raise Mismatch("null")
     if not (_numeric(old) and _numeric(new)):
@@ -184,7 +188,8 @@ def _cell_difference(old, new) -> float:
         return 0.0
     if not (math.isfinite(old) and math.isfinite(new)):
         raise Mismatch("non-finite cell")
-    return abs(new - old) / max(abs(old), abs(new))
+    scale = max(abs(old), abs(new))
+    return abs(new - old) if scale < 1e-12 else abs(new - old) / scale
 
 
 def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
@@ -211,12 +216,13 @@ def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
         index = [j for j, c in enumerate(new_cols) if c in INDEX_COLUMNS]
         if any(a[j] != b[j] for a, b in zip(old_rows, new_rows) for j in index):
             raise Mismatch("index cell")
-        cells = [(a, b) for (_, a), (_, b) in zip(old_meta, new_meta)]
-        cells += [pair for a, b in zip(old_rows, new_rows) for pair in zip(a, b)]
-        worst = max((_cell_difference(a, b) for a, b in cells), default=0.0)
+        cells = [(key, a, b) for (key, a), (_, b) in zip(old_meta, new_meta)]
+        cells += [cell for a, b in zip(old_rows, new_rows) for cell in zip(new_cols, a, b)]
+        worst, column = max(((_cell_difference(a, b), key) for key, a, b in cells),
+                            key=lambda pair: pair[0], default=(0.0, "-"))
     except Mismatch as exc:
         return f"MISMATCH {exc} {shlex.join(argv)}"
-    return f"max-rel-diff {worst:.2g} {shlex.join(argv)}"
+    return f"max-rel-diff {worst:.2g} {column} {shlex.join(argv)}"
 
 
 def main(argv=None) -> int:
