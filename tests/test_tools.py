@@ -49,7 +49,8 @@ def _joint_table(nu, ne, p, fmt):
 @pytest.mark.parametrize("new,verdict", [
     (([0, 0, 1, 1], [0, 1, 0, 1], [0.5, 0.0, 0.0, 0.5]), "identical"),
     (([0, 1], [0, 1], [0.5, 0.5]), "support-identical"),  # the parity holes dropped
-    (([0, 1], [0, 1], [0.5, 0.5 + 1e-16]), "max-rel-diff 2.2e-16 p"),
+    pytest.param(([0, 1], [0, 1], [0.5, 0.5 + 1e-16]), "max-rel-diff 2.2e-16 p",
+                 id="new2-max-rel-diff 2.2e-16"),  # the worst column named after it
     (([0], [0], [0.5]), "MISMATCH row count"),  # a kept row missing
     (([0, 1], [1, 0], [0.5, 0.5]), "MISMATCH index cell"),  # kept cells moved
 ])
