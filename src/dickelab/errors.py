@@ -6,7 +6,7 @@ class DickeLabError(Exception):
 
 
 class ConvergenceError(DickeLabError):
-    """Raised when an eigensolve or truncation loop fails to converge.
+    """Raised when an eigensolve fails or a truncation is not converged.
 
     Carries the best result obtained so far in ``best`` (may be None) and a
     free-form ``diagnostics`` dict.

@@ -126,22 +126,15 @@ class SectorBasis:
             self._neighbours[dnu, dne] = src, tgt
         return self._neighbours[dnu, dne]
 
-    def index_of(self, nu: int, n_e: int) -> int:
-        """Position of (nu, n_e) in the ordering, or -1 if outside the window."""
+    def locate(self, nu: int, n_e: int) -> int:
+        """Position of (nu, n_e) in the ordering; ValueError naming the state
+        if it lies outside the window."""
         if not (nu >= self.nu_lo and self.ne_lo <= n_e <= self.ne_hi
                 and nu + n_e <= self.lambda_max
                 and (nu + n_e - (self.parity == "odd")) % 2 == 0):
-            return -1
-        return int(self.offsets[nu]) + (n_e - self.ne_lo) // 2
-
-    def locate(self, nu: int, n_e: int) -> int:
-        """index_of of a state the caller needs; ValueError naming it if it
-        lies outside the window."""
-        i = self.index_of(nu, n_e)
-        if i < 0:
             raise ValueError(f"state (nu={nu}, n_e={n_e}) lies outside the {self.parity} "
                              f"window of {self.size} states")
-        return i
+        return int(self.offsets[nu]) + (n_e - self.ne_lo) // 2
 
 
 def build_sector_basis(params: ModelParams, lambda_max: int, parity: str,

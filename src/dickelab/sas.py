@@ -361,14 +361,11 @@ def marginal_photon(params: ModelParams, parity: str) -> np.ndarray:
     sgn = _parity_sign(parity)
     xa = _require_superradiant(params)
     norm = _projection_norm(params, parity)
-    nu_max = default_nu_max(params)
-    nu = np.arange(nu_max + 1)
-    mu = photon_number_coherent(params)
-    if mu == 0.0:
-        base = np.zeros(nu_max + 1)
-        base[0] = 1.0
+    nu = np.arange(default_nu_max(params) + 1)
+    if xa == 1.0:  # mu = 0: the vacuum
+        base = (nu == 0).astype(float)
     else:
-        base = np.exp(nu * math.log(mu) - _log_factorial(nu) - mu)
+        base = np.exp(2.0 * _log_amplitude(params, nu, 0)[0] - photon_number_coherent(params))
     return base * _one_plus_exp(sgn * (-1.0) ** nu, -2.0 * params.n_atoms * math.log(xa)) / norm
 
 
@@ -380,14 +377,10 @@ def marginal_excited(params: ModelParams, parity: str) -> np.ndarray:
     norm = _projection_norm(params, parity)
     n = params.n_atoms
     ne = np.arange(n + 1)
-    log_binom = _log_factorial(n) - _log_factorial(ne) - _log_factorial(n - ne)
-    if xa == 1.0:
-        base = np.zeros(n + 1)
-        base[0] = 1.0
+    if xa == 1.0:  # every atom in its ground state
+        base = (ne == 0).astype(float)
     else:
-        log_a = math.log(-math.expm1(-2.0 * math.log(xa))) - math.log(2.0)
-        log_b = math.log1p(xa ** -2) - math.log(2.0)
-        base = np.exp(log_binom + ne * log_a + (n - ne) * log_b)
+        base = np.exp(2.0 * _log_amplitude(params, 0, ne)[1] - n * math.log(2.0))
     return base * _one_plus_exp(sgn * (-1.0) ** ne, -2.0 * photon_number_coherent(params)) / norm
 
 

@@ -17,11 +17,13 @@ sigma.  ARPACK stops as soon as its residual bound, scaled by
 rejected shift, a solver error or a missed residual raises
 ConvergenceError; nothing is retried.
 
-converge_ground seeds the truncation from the closed-form mean and width of
-the excitation number and, in the superradiant phase, boxes the sector in
-around the closed-form photon and atom numbers; it accepts that window from
-one solve when the energy the states on its edges leak across them, to
-second order, is far below the tolerance.
+converge_ground solves one window: truncation_seed's, drawn from the
+closed-form mean and width of the excitation number and, in the
+superradiant phase, boxed in around the closed-form photon and atom
+numbers, with a reach that grows with the tolerance below 1e-8.  It accepts
+that window when the energy the states on its edges leak across them, to
+second order, is far below the tolerance, and raises ConvergenceError
+otherwise.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_minus_amp,
                     _spin_plus_amp, build_hamiltonian, build_sector_basis)
 from .sas import sas_coefficients_at
-from .surface import (atom_statistics, lambda_statistics, normal_odd_state, photon_statistics,
-                      sas_energy_at_critical)
+from .surface import (atom_statistics, lambda_statistics, minimum_energy, normal_odd_state,
+                      photon_statistics, sas_energy_at_critical)
 
 # lowest_eigenpairs at the seed truncation, median per 10-state bin (one BLAS
 # thread, 2-core host): dense eigh is faster below 100 states (0.54 against
@@ -64,7 +66,6 @@ class SpectralResult:
     the one unit-norm state as a column, shape (n, 1), in the SectorBasis
     ordering with its largest-magnitude coefficient positive; ``residuals``
     is ||H v - E v||, shape (1,).
-    ``history`` records (lambda_max, eigenvalues) per truncation step.
     ``path`` names the one solver the sector was given ("dense" or
     "variational shift-invert").
     ``truncation_estimate`` is the second-order energy leak, summed over the
@@ -80,8 +81,6 @@ class SpectralResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     basis: SectorBasis
-    converged: bool = False
-    history: list = field(default_factory=list)
     path: str = ""
     residuals: np.ndarray | None = None
     truncation_estimate: float | None = None
@@ -90,8 +89,8 @@ class SpectralResult:
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
-        return {"dim": self.basis.size, "path": self.path, "residuals": self.residuals,
-                "truncation_estimate": self.truncation_estimate, "history": self.history,
+        return {"dim": self.basis.size, "lambda_max": self.lambda_max, "path": self.path,
+                "residuals": self.residuals, "truncation_estimate": self.truncation_estimate,
                 **self.seed}
 
 
@@ -103,7 +102,7 @@ def variational_energy(params: ModelParams, parity: str) -> float:
     xa = abs(params.x)
     if parity == "even":
         if xa < 1.0:
-            return -2.0 * params.n_atoms * params.gamma_c ** 2
+            return minimum_energy(params)[0]
         return sas_energy_at_critical(params, "even")
     if parity == "odd":
         if xa < 1.0:
@@ -261,8 +260,8 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
 
 # -- truncation -------------------------------------------------------------------
 
-def truncation_seed(params: ModelParams) -> dict:
-    """The first window and the excitation statistics it is drawn from.
+def truncation_seed(params: ModelParams, tol: float = 1e-8) -> dict:
+    """The window and the excitation statistics it is drawn from.
 
     lambda_seed = <Lambda> + 6 sqrt(dLambda^2 + dc^2) + 6, with (<Lambda>,
     dLambda) the closed-form lambda_statistics (zero in the normal phase) and
@@ -272,20 +271,24 @@ def truncation_seed(params: ModelParams) -> dict:
     ne_lo <= n_e <= ne_hi, each edge at the closed-form photon or atom mean
     -+ (WINDOW_WIDTHS sqrt(width^2 + dc^2) + WINDOW_MARGIN), with the mean and
     width from photon_statistics and atom_statistics; otherwise the box is
-    the whole space, nu_lo = ne_lo = 0 and ne_hi = N.  Calibrated with
+    the whole space, nu_lo = ne_lo = 0 and ne_hi = N.  Below tol = 1e-8 the
+    two 6s and WINDOW_WIDTHS are multiplied by log(tol) / log(1e-8), so that
+    one window settles the tighter tolerance too; at and above 1e-8 the
+    window does not depend on tol.  Calibrated with
     tools/calibrate_truncation.py on omega_a in {0.25, 1, 4, 9}, N 10-140 and
     x 0.3-2.5: every sector ground state below the default cap is accepted
-    at the seed with tol = 1e-8.
+    in this window at tol 1e-8, 1e-10 and 1e-12.
     """
+    scale = max(1.0, math.log(tol) / math.log(1e-8))
     mean, width = lambda_statistics(params)
     n_atoms = params.n_atoms
     critical = 1.25 * params.omega_a ** (1.0 / 6.0) * n_atoms ** (1.0 / 3.0)
-    seed = math.ceil(mean + 6.0 * math.hypot(width, critical) + 6.0)
+    seed = math.ceil(mean + scale * 6.0 * math.hypot(width, critical) + scale * 6.0)
     record = {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width,
               "nu_lo": 0, "ne_lo": 0, "ne_hi": n_atoms}
     if abs(params.x) > 1.0:
         def reach(mode_width):
-            return WINDOW_WIDTHS * math.hypot(mode_width, critical) + WINDOW_MARGIN
+            return scale * WINDOW_WIDTHS * math.hypot(mode_width, critical) + WINDOW_MARGIN
 
         (nu_mean, nu_width), (ne_mean, ne_width) = (photon_statistics(params),
                                                     atom_statistics(params))
@@ -375,52 +378,40 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
                     lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
     """The ground state of a sector, converged in truncation by one solve.
 
-    The first window is truncation_seed's, with lambda_max lowered to
-    ``lambda_cap`` when above it.  A solve is accepted when TRUNCATION_SAFETY
-    times its truncation estimate is at most ``tol`` |E|; otherwise
-    lambda_max grows by 2, every box edge moves out by 2 (as far as the space
-    reaches) and the sector is solved again.  An empty window is not solved.
-    Raises ConvergenceError (carrying the best result and its diagnostics) if
-    ``lambda_cap`` is exceeded; when every window up to the cap was empty, the
-    best result is None and the message and ``diagnostics["reason"]`` say so,
-    with ``dim`` 0.
+    The window is truncation_seed's at ``tol``, with lambda_max lowered to
+    ``lambda_cap`` when above it.  The solve is accepted when
+    TRUNCATION_SAFETY times its truncation estimate is at most ``tol`` |E|;
+    otherwise ConvergenceError carries it as ``best``, with its diagnostics.
+    An empty window (a box that starts above the cap) is not solved: the
+    ConvergenceError's best is None, and the message and
+    ``diagnostics["reason"]`` say so, with ``dim`` 0.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    seed = truncation_seed(params)
-    lam = min(seed["lambda_seed"], lambda_cap)
-    nu_lo, ne_lo, ne_hi = seed["nu_lo"], seed["ne_lo"], seed["ne_hi"]
-    history: list[tuple[int, np.ndarray]] = []
-    best = None
-    while lam <= lambda_cap:
-        basis = build_sector_basis(params, lam, parity, nu_lo, ne_lo, ne_hi)
-        if basis.size > 0:  # a box above lambda_max holds no state
-            try:
-                res = lowest_eigenpairs(build_hamiltonian(params, basis))
-            except ConvergenceError as exc:
-                exc.diagnostics.update(seed, history=history)
-                raise
-            res.seed = seed
-            energy = res.eigenvalues[0]
-            res.truncation_estimate = sum(edge_leaks(params, basis, energy,
-                                                     res.eigenvectors[:, 0]).values())
-            history.append((lam, res.eigenvalues.copy()))
-            res.history = history
-            if TRUNCATION_SAFETY * res.truncation_estimate <= tol * abs(energy):
-                res.converged = True
-                return res
-            best = res
-        lam += 2
-        nu_lo, ne_lo, ne_hi = max(nu_lo - 2, 0), max(ne_lo - 2, 0), min(ne_hi + 2, params.n_atoms)
-    if best is None:
+    seed = truncation_seed(params, tol)
+    basis = build_sector_basis(params, min(seed["lambda_seed"], lambda_cap), parity,
+                               seed["nu_lo"], seed["ne_lo"], seed["ne_hi"])
+    if basis.size == 0:
         reason = (f"window is empty below lambda_max cap {lambda_cap} "
                   f"(nu_lo {seed['nu_lo']}, ne_lo {seed['ne_lo']})")
-        raise ConvergenceError(f"ground state not solved: {reason}", best=None, diagnostics={
-            "history": history, **seed, "dim": 0, "reason": reason, "tol": tol})
+        raise ConvergenceError(f"ground state not solved: {reason}", best=None,
+                               diagnostics={**seed, "dim": 0, "reason": reason, "tol": tol})
+    try:
+        res = lowest_eigenpairs(build_hamiltonian(params, basis))
+    except ConvergenceError as exc:
+        exc.diagnostics.update(seed)
+        raise
+    res.seed = seed
+    energy = res.eigenvalues[0]
+    res.truncation_estimate = sum(edge_leaks(params, basis, energy,
+                                             res.eigenvectors[:, 0]).values())
+    if TRUNCATION_SAFETY * res.truncation_estimate <= tol * abs(energy):
+        return res
     raise ConvergenceError(
-        f"ground state not converged below lambda_max cap {lambda_cap}",
-        best=best,
-        diagnostics={**best.diagnostics(), "tol": tol},
+        f"ground state not converged at lambda_max {basis.lambda_max} "
+        f"(lambda_max cap {lambda_cap})",
+        best=res,
+        diagnostics={**res.diagnostics(), "tol": tol},
     )

@@ -88,7 +88,7 @@ def critical_points(params: ModelParams) -> list[CriticalPoint]:
     normal = CriticalPoint(
         point=PhaseSpacePoint(0.0, 0.0, 0.0, 0.0),
         phase="normal",
-        energy=-2.0 * params.n_atoms * params.gamma_c ** 2,
+        energy=minimum_energy(params)[0],
         branch_phi=None,
     )
     if xa <= 1.0:

@@ -83,6 +83,14 @@ def basis_state(basis, i):
     return BasisState(int(basis.nu[i]), int(basis.ne[i]))
 
 
+def position(basis, nu, ne):
+    """basis.locate(nu, ne), or -1 where the state lies outside the window."""
+    try:
+        return basis.locate(nu, ne)
+    except ValueError:
+        return -1
+
+
 def excitation_operator(basis):
     """Dense diagonal excitation-number operator on a SectorBasis."""
     dim = len(basis.nu)
@@ -161,14 +169,14 @@ def coo_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity=None):
 def side_by_side(states, sectors):
     """Dense matrices on sector bases placed on the rows and columns of
     states, zero between the sectors.  ``sectors`` holds (basis, matrix)
-    pairs; basis.index_of gives a state's row of matrix, or -1 if the basis
-    lacks it.  Every state must lie in exactly one basis."""
+    pairs; position(basis, ...) gives a state's row of matrix, or -1 if the
+    basis lacks it.  Every state must lie in exactly one basis."""
     full = np.zeros((len(states), len(states)))
     owners = [0] * len(states)
     for basis, matrix in sectors:
         rows, cols = [], []
         for i, (nu, ne) in enumerate(states):
-            k = basis.index_of(nu, ne)
+            k = position(basis, nu, ne)
             if k >= 0:
                 rows.append(i)
                 cols.append(k)

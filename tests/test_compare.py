@@ -125,7 +125,7 @@ class TestVariationalVector:
         p = ModelParams(1.0, 0.3, 8)
         basis = build_sector_basis(p, 20, "even")
         v = variational_vector(p, "even", basis)
-        assert v[basis.index_of(0, 0)] == 1.0
+        assert v[basis.locate(0, 0)] == 1.0
         assert np.count_nonzero(v) == 1
 
     @pytest.mark.parametrize("parity, missing", [("even", r"\(nu=0, n_e=0\)"),

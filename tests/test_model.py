@@ -39,10 +39,10 @@ def _stencil_of_both_sectors(p, lambda_max):
     H = model.Stencil(np.concatenate((He.diag, Ho.diag)), np.concatenate((He.src, Ho.src + n)),
                       np.concatenate((He.tgt, Ho.tgt + n)), np.concatenate((He.val, Ho.val)))
 
-    def index_of(nu, ne):
-        return even.index_of(nu, ne) if (nu + ne) % 2 == 0 else n + odd.index_of(nu, ne)
+    def locate(nu, ne):
+        return even.locate(nu, ne) if (nu + ne) % 2 == 0 else n + odd.locate(nu, ne)
 
-    return H, index_of
+    return H, locate
 
 
 class TestGammaCritical:
@@ -131,14 +131,15 @@ class TestSectorBasis:
         basis = build_sector_basis(p, 6, "even")
         for i in range(basis.size):
             s = brute.basis_state(basis, i)
-            assert basis.index_of(s.nu, s.n_e) == i
-        assert basis.index_of(0, 1) == -1  # wrong parity
-        assert basis.index_of(50, 0) == -1  # outside window
+            assert basis.locate(s.nu, s.n_e) == i
+        for nu, ne in ((0, 1), (50, 0)):  # wrong parity, outside the window
+            with pytest.raises(ValueError):
+                basis.locate(nu, ne)
 
     def test_locate_names_a_state_outside_the_window(self):
         p = ModelParams(1.0, 0.5, 3)
         basis = build_sector_basis(p, 6, "even", nu_lo=1)
-        assert basis.locate(2, 0) == basis.index_of(2, 0)
+        assert basis.locate(2, 0) == 2  # after (1, 1) and (1, 3)
         for nu, ne in ((0, 0), (0, 1), (50, 0)):
             with pytest.raises(ValueError, match=rf"\(nu={nu}, n_e={ne}\)"):
                 basis.locate(nu, ne)
@@ -154,7 +155,7 @@ class TestSectorBasis:
         nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
         basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
         src, tgt = basis.neighbours(*shift)
-        want = [(i, basis.index_of(nu + shift[0], ne + shift[1]))
+        want = [(i, brute.position(basis, nu + shift[0], ne + shift[1]))
                 for i, (nu, ne) in enumerate(zip(basis.nu, basis.ne))]
         want = [(i, j) for i, j in want if j >= 0]
         assert list(zip(src.tolist(), tgt.tolist())) == want
@@ -221,7 +222,7 @@ class TestHamiltonian:
         p = ModelParams(omega_a=0.7, gamma=0.9, n_atoms=8)
         basis = build_sector_basis(p, 20, "even")
         H = build_hamiltonian(p, basis).toarray()
-        i = basis.index_of(0, 0)
+        i = basis.locate(0, 0)
         assert H[i, i] == pytest.approx(-p.j * p.omega_a, rel=1e-15)
 
     @pytest.mark.parametrize("n_atoms", [2, 5, 17])
@@ -229,8 +230,8 @@ class TestHamiltonian:
         p = ModelParams(1.0, 0.37, n_atoms)
         basis = build_sector_basis(p, 7, "odd")
         H = build_hamiltonian(p, basis).toarray()
-        a = basis.index_of(1, 0)
-        b = basis.index_of(0, 1)
+        a = basis.locate(1, 0)
+        b = basis.locate(0, 1)
         assert H[a, b] == pytest.approx(p.gamma, rel=1e-14)
 
     def test_matches_brute_dense(self):
@@ -240,7 +241,7 @@ class TestHamiltonian:
             H = build_hamiltonian(p, basis).toarray()
             Hb, states = brute.dense_hamiltonian(0.8, 0.45, 3, 6, parity)
             # brute keeps its own (lambda, nu) order; pos maps it onto ours
-            pos = [basis.index_of(nu, ne) for nu, ne in states]
+            pos = [basis.locate(nu, ne) for nu, ne in states]
             assert sorted(pos) == list(range(basis.size))
             assert np.max(np.abs(H[np.ix_(pos, pos)] - Hb)) < 1e-14
 
@@ -253,15 +254,15 @@ class TestHamiltonian:
     def test_canonical_stencil_matches_coo_reference(self, parity, gamma, n_atoms, lam_max):
         p = ModelParams(0.8, gamma, n_atoms)
         if parity is None:
-            H, index_of = _stencil_of_both_sectors(p, lam_max)
+            H, locate = _stencil_of_both_sectors(p, lam_max)
         else:
             basis = build_sector_basis(p, lam_max, parity)
-            H, index_of = build_hamiltonian(p, basis).matrix, basis.index_of
+            H, locate = build_hamiltonian(p, basis).matrix, basis.locate
         ref, states = brute.coo_hamiltonian(0.8, gamma, n_atoms, lam_max, parity)
         # brute's index of each of our states
         n = H.diag.size
         brute_of = np.empty(n, dtype=np.intp)
-        brute_of[[index_of(nu, ne) for nu, ne in states]] = np.arange(len(states))
+        brute_of[[locate(nu, ne) for nu, ne in states]] = np.arange(len(states))
         assert np.array_equal(np.sort(brute_of), np.arange(n))
         assert np.all(H.tgt > H.src)  # every raising coupling points to a later state
         assert len(set(zip(H.src.tolist(), H.tgt.tolist()))) == H.val.size  # no duplicates
@@ -363,9 +364,9 @@ class TestStencil:
         Hb, states = brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)
         inside = [i for i, (nu, ne) in enumerate(states) if nu >= nu_lo and ne_lo <= ne <= ne_hi]
         n = len(inside)
-        # index_of finds exactly brute's states inside the window, each at its
+        # locate finds exactly brute's states inside the window, each at its
         # own position, and nothing outside it
-        found = {(nu, ne): basis.index_of(nu, ne)
+        found = {(nu, ne): brute.position(basis, nu, ne)
                  for nu in range(-1, lambda_max + 2) for ne in range(-1, n_atoms + 2)}
         pos = [found.pop(states[i]) for i in inside]
         assert sorted(pos) == list(range(n)) == list(range(basis.size))
@@ -399,14 +400,14 @@ class TestExcitationOperator:
         p = ModelParams(1.0, 0.5, 4)
         basis = build_sector_basis(p, 8, "even")
         L = brute.excitation_operator(basis)
-        assert L[basis.index_of(0, 0), basis.index_of(0, 0)] == 0.0
-        i = basis.index_of(2, 4)
+        assert L[basis.locate(0, 0), basis.locate(0, 0)] == 0.0
+        i = basis.locate(2, 4)
         assert L[i, i] == 6.0
 
     def test_lambda_of_state(self):
         p = ModelParams(1.0, 0.5, 5)
         basis = build_sector_basis(p, 9, "odd")
-        i = basis.index_of(2, 3)
+        i = basis.locate(2, 3)
         assert brute.excitation_operator(basis)[i, i] == 5.0
 
     def test_trace_n2(self):

@@ -29,10 +29,23 @@ def _solve(params, lam_max, parity):
 
 
 def _seed_at(monkeypatch, lam):
-    """Make converge_ground start its truncation at lambda_max = lam."""
+    """Make converge_ground solve its window at lambda_max = lam."""
     seed = solver.truncation_seed
     monkeypatch.setattr(solver, "truncation_seed",
-                        lambda params: {**seed(params), "lambda_seed": lam})
+                        lambda params, tol: {**seed(params, tol), "lambda_seed": lam})
+
+
+def _record_solves(monkeypatch):
+    """The bases of every lowest_eigenpairs call converge_ground makes from now on."""
+    bases = []
+    solve = solver.lowest_eigenpairs
+
+    def recording(op):
+        bases.append(op.basis)
+        return solve(op)
+
+    monkeypatch.setattr(solver, "lowest_eigenpairs", recording)
+    return bases
 
 
 def _shift_at(monkeypatch, sigma):
@@ -153,18 +166,17 @@ class TestConvergeGround:
         p = ModelParams(1.0, 1.0, 10)
         assert photon_number_coherent(p) == pytest.approx(9.375)
         res = converge_ground(p, "even", tol=1e-8)
-        assert res.converged
         assert res.lambda_max < 400
         # one solve settles at the seed
-        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
+        assert res.lambda_max == truncation_seed(p)["lambda_seed"]
         _assert_settled(res, p, "even", 1e-8)
 
     def test_gamma_zero_converges_immediately(self):
         p = ModelParams(1.0, 0.0, 6)
         res = converge_ground(p, "even", tol=1e-12)
-        assert res.converged
         # nothing leaks
-        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
+        assert res.truncation_estimate == 0.0
+        assert res.lambda_max == truncation_seed(p, 1e-12)["lambda_seed"]
         _assert_settled(res, p, "even", 1e-12)
         assert res.eigenvalues[0] == pytest.approx(-3.0, abs=1e-14)
 
@@ -173,13 +185,16 @@ class TestConvergeGround:
             converge_ground(ModelParams(1.0, 0.5, 4), "even", tol=0.0)
 
     def test_cap_exceeded_carries_best(self, monkeypatch):
+        # a window too small to settle the sector is solved once
         p = ModelParams(1.0, 1.0, 10)
         _seed_at(monkeypatch, 10)
+        bases = _record_solves(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, "even", tol=1e-8, lambda_cap=16)
         assert err.value.best is not None
         assert err.value.best.eigenvalues.shape == (1,)
-        assert len(err.value.diagnostics["history"]) == 4
+        assert bases == [err.value.best.basis]
+        assert err.value.diagnostics["lambda_max"] == 10
 
     def test_monotone_truncation(self):
         # ground eigenvalue is non-increasing as the window grows
@@ -187,12 +202,18 @@ class TestConvergeGround:
         vals = [_solve(p, lam, "even").eigenvalues[0] for lam in (12, 16, 20, 30, 40)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_history_matches_eigenvalues(self):
-        p = ModelParams(1.0, 0.7, 6)
-        res = converge_ground(p, "odd", tol=1e-9)
-        lam_last, eigs_last = res.history[-1]
-        assert lam_last == res.lambda_max
-        assert np.array_equal(eigs_last, res.eigenvalues)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_diagnostics_name_the_one_window(self, monkeypatch, tol):
+        p = ModelParams.from_ratio(1.0, 1.7, 30)
+        bases = _record_solves(monkeypatch)
+        res = converge_ground(p, "odd", tol=tol)
+        assert bases == [res.basis]
+        seed = truncation_seed(p, tol)
+        diag = res.diagnostics()
+        assert diag["lambda_max"] == res.lambda_max == seed["lambda_seed"]
+        assert diag["dim"] == res.basis.size
+        assert (res.basis.nu_lo, res.basis.ne_lo, res.basis.ne_hi) == (
+            seed["nu_lo"], seed["ne_lo"], seed["ne_hi"])
 
     def test_initial_lambda_seed(self):
         p = ModelParams(1.0, 1.0, 10)
@@ -208,6 +229,23 @@ class TestConvergeGround:
                                       "lambda_mean": 13.125,
                                       "lambda_width": pytest.approx(np.sqrt(11.71875)),
                                       "nu_lo": 0, "ne_lo": 0, "ne_hi": 10}
+
+    # at and above tol = 1e-8 the window does not depend on tol; below it the
+    # reach of every edge grows by log(tol) / log(1e-8)
+    @pytest.mark.parametrize("omega_a,n_atoms,x", [(1.0, 10, 2.0), (1.0, 200, 2.0),
+                                                   (9.0, 40, 0.98), (0.25, 120, -1.5)])
+    def test_seed_scales_with_the_tolerance(self, omega_a, n_atoms, x):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        assert truncation_seed(p, 1e-6) == truncation_seed(p, 1e-8) == truncation_seed(p)
+        mean, width = lambda_statistics(p)
+        critical = 1.25 * omega_a ** (1 / 6) * n_atoms ** (1 / 3)
+        record = truncation_seed(p, 1e-12)
+        assert record["lambda_seed"] == int(np.ceil(mean + 1.5 * 6 * np.hypot(width, critical)
+                                                    + 1.5 * 6))
+        if abs(x) > 1.0:
+            nu_mean, nu_width = photon_statistics(p)
+            assert record["nu_lo"] == max(0, int(np.floor(
+                nu_mean - 1.5 * 5.5 * np.hypot(nu_width, critical) - 2.0)))
 
     # superradiant sectors are boxed in, the normal phase and the separatrix not
     @pytest.mark.parametrize("x", [2.0, -2.0, 1.0, 0.5])
@@ -249,7 +287,6 @@ class TestOneVerifiedSolve:
     def test_settles_within_tolerance(self, n_atoms, x, parity, omega_a):
         p = ModelParams.from_ratio(omega_a, x, n_atoms)
         res = converge_ground(p, parity, tol=1e-8)
-        assert res.converged
         _assert_settled(res, p, parity, 1e-8)
         assert res.residuals[0] <= RESIDUAL_TOL
         assert 10.0 * res.truncation_estimate <= 1e-8 * abs(res.eigenvalues[0])
@@ -437,15 +474,17 @@ class TestOneVerifiedSolve:
         assert diag["path"] == "variational shift-invert"
         assert diag["truncation_estimate"] > 0.0
         assert diag["residuals"][0] <= RESIDUAL_TOL
-        assert [lam for lam, _ in diag["history"]] == [50, 52]
+        assert diag["lambda_max"] == err.value.best.lambda_max == 50
 
-    def test_seed_above_cap_solves_once_at_the_cap(self):
+    def test_seed_above_cap_solves_once_at_the_cap(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
         assert truncation_seed(p)["lambda_seed"] > 4
+        bases = _record_solves(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, "even", lambda_cap=4)
         assert err.value.best is not None
-        assert [lam for lam, _ in err.value.diagnostics["history"]] == [4]
+        assert err.value.diagnostics["lambda_max"] == 4
+        assert bases == [err.value.best.basis]
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_empty_window_is_not_solved(self, monkeypatch, parity):
@@ -457,7 +496,6 @@ class TestOneVerifiedSolve:
         with pytest.raises(ConvergenceError) as err:
             converge_ground(p, parity, lambda_cap=50)
         assert err.value.best is None
-        assert err.value.diagnostics["history"] == []
         assert solved == []
         reason = "window is empty below lambda_max cap 50 (nu_lo 100, ne_lo 17)"
         assert str(err.value) == f"ground state not solved: {reason}"
@@ -470,7 +508,7 @@ class TestOneVerifiedSolve:
         p = ModelParams.from_ratio(1.0, 2.0, 220)
         assert truncation_seed(p)["lambda_seed"] > solver.DEFAULT_LAMBDA_CAP
         res = converge_ground(p, parity, tol=1e-8)
-        assert res.converged and res.lambda_max <= solver.DEFAULT_LAMBDA_CAP
+        assert res.lambda_max == solver.DEFAULT_LAMBDA_CAP
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 
     # the README's range: at x = 2 both parities converge at the default cap
@@ -483,7 +521,7 @@ class TestOneVerifiedSolve:
         assert truncation_seed(p)["lambda_seed"] > cap
         if n_atoms == 231:
             res = converge_ground(p, parity)
-            assert res.converged and res.lambda_max == cap
+            assert res.lambda_max == cap
             assert res.path == "variational shift-invert"
             assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
             return
@@ -495,10 +533,10 @@ class TestOneVerifiedSolve:
         assert diag["residuals"][0] <= RESIDUAL_TOL
         energy = abs(err.value.best.eigenvalues[0])
         assert solver.TRUNCATION_SAFETY * diag["truncation_estimate"] > 1e-8 * energy
-        assert [lam for lam, _ in diag["history"]] == [cap]
+        assert diag["lambda_max"] == cap
 
     def test_error_carries_the_window_edges(self, monkeypatch):
-        # two solves below the seed: the box widens by 2 with lambda_max
+        # one solve below the seed, in the seed's box
         p = ModelParams.from_ratio(1.0, 2.0, 200)
         seed = truncation_seed(p)
         edges = {key: seed[key] for key in ("nu_lo", "ne_lo", "ne_hi")}
@@ -508,12 +546,12 @@ class TestOneVerifiedSolve:
             converge_ground(p, "even", lambda_cap=302)
         diag = err.value.diagnostics
         assert {key: diag[key] for key in edges} == edges
-        assert [lam for lam, _ in diag["history"]] == [300, 302]
+        assert diag["lambda_max"] == 300
         basis = err.value.best.basis
         assert (basis.nu_lo, basis.ne_lo, basis.ne_hi) == (
-            edges["nu_lo"] - 2, edges["ne_lo"] - 2, edges["ne_hi"] + 2)
+            edges["nu_lo"], edges["ne_lo"], edges["ne_hi"])
         assert diag["dim"] == basis.size
-        assert basis.size < build_sector_basis(p, 302, "even").size
+        assert basis.size < build_sector_basis(p, 300, "even").size
 
     def test_diagnostics_carry_the_seed(self, monkeypatch):
         p = ModelParams(1.0, 1.0, 10)
@@ -540,12 +578,12 @@ class TestWindow:
     # energy the box costs the most, by about x5
     @settings(max_examples=40, deadline=None)
     @given(omega_a=st.floats(0.25, 9.0), n_atoms=st.integers(2, 60), x=st.floats(1.01, 2.5),
-           parity=st.sampled_from(["even", "odd"]))
-    @example(omega_a=9.0, n_atoms=20, x=2.5, parity="even")
-    @example(omega_a=9.0, n_atoms=27, x=2.2, parity="odd")
-    def test_accepted_window_agrees_with_the_whole_space(self, omega_a, n_atoms, x, parity):
+           parity=st.sampled_from(["even", "odd"]), tol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+    @example(omega_a=9.0, n_atoms=20, x=2.5, parity="even", tol=1e-8)
+    @example(omega_a=9.0, n_atoms=27, x=2.2, parity="odd", tol=1e-8)
+    def test_accepted_window_agrees_with_the_whole_space(self, omega_a, n_atoms, x, parity,
+                                                        tol):
         p = ModelParams.from_ratio(omega_a, x, n_atoms)
-        tol = 1e-8
         res = converge_ground(p, parity, tol=tol, lambda_cap=5000)
         whole = _solve(p, res.lambda_max + 40, parity).eigenvalues[0]
         energy = res.eigenvalues[0]
@@ -585,7 +623,7 @@ class TestWindow:
         leaks = solver.edge_leaks(p, basis, energy, res.eigenvectors[:, 0])
         H, states = brute.dense_hamiltonian(omega_a, sign * gamma, n_atoms, lambda_max + 2,
                                             parity)
-        where = [basis.index_of(nu, ne) for nu, ne in states]
+        where = [brute.position(basis, nu, ne) for nu, ne in states]
         inside = [i for i, w in enumerate(where) if w >= 0]
         psi = res.eigenvectors[[where[i] for i in inside], 0]
         edges = {"lambda": lambda nu, ne: nu + ne > lambda_max,
@@ -640,7 +678,7 @@ class TestClosedFormSizing:
     def test_calibration_grid_accepted_at_the_seed(self, omega_a, n_atoms, x, parity):
         p = ModelParams.from_ratio(omega_a, x, n_atoms)
         res = converge_ground(p, parity, tol=1e-8)
-        assert [lam for lam, _ in res.history] == [truncation_seed(p)["lambda_seed"]]
+        assert res.lambda_max == truncation_seed(p)["lambda_seed"]
         _assert_settled(res, p, parity, 1e-8)
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 

@@ -30,13 +30,28 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     assert tool.main(["--rise", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8 + 3
-    assert lines[8] == ("sectors 8: accepted at the first solve 8, after more solves 0, "
-                        "raised at the cap 0, raised otherwise 0")
+    assert lines[8] == ("sectors 8 at tol 1e-08: accepted 8, raised at the cap 0, "
+                        "raised otherwise 0")
     assert [line.split()[:5] for line in lines[:8]] == [
-        ["1", str(n), x, parity, "first"]
+        ["1", str(n), x, parity, "accepted"]
         for n in (10, 40) for x in ("0.6", "2.5") for parity in ("even", "odd")]
     assert sum(" box=(9,0,40) " in line for line in lines[:8]) == 2
     assert "largest energy rise from the box" in lines[10]
+
+
+def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
+    tool = _load_tool("calibrate_truncation")
+    # omega_a = 4, N = 99, x = 2.5: the box starts at nu = 460, above the cap of
+    # 400, so the window is empty and neither sector is solved
+    monkeypatch.setattr(tool, "OMEGAS", (4.0,))
+    monkeypatch.setattr(tool, "ATOMS", (99,))
+    monkeypatch.setattr(tool, "RATIOS", (2.5,))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert tool.main(["--list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["4 99 2.5 even cap", "4 99 2.5 odd cap"]
+    assert lines[2] == ("sectors 2 at tol 1e-08: accepted 0, raised at the cap 2, "
+                        "raised otherwise 0")
 
 
 def _joint_table(nu, ne, p, fmt):

@@ -1,15 +1,18 @@
 """Run converge_ground over the truncation calibration grid and summarise it.
 
-    python tools/calibrate_truncation.py [--widths K] [--margin C] [--rise] [--list]
+    python tools/calibrate_truncation.py [--tol T] [--widths K] [--margin C] [--rise] [--list]
 
 The grid is omega_a in {0.25, 1, 4, 9} x 12 atom counts from 10 to 140 (odd
 and even) x 15 couplings x = gamma/gamma_c from 0.3 to 2.5 (both sides of the
-separatrix) x both parities, 1440 sectors at the default tolerance and cap.
-It prints how many sectors are accepted at the first solve, how many after
-more solves, how many raise at the cap and how many raise otherwise; for each
-window edge the largest estimate / (tol |E|) over the accepted sectors (the
-truncation test accepts up to 1 / TRUNCATION_SAFETY); and the sum of the
-accepted dimensions.
+separatrix) x both parities, 1440 sectors at the default cap and at tolerance
+T (default 1e-8).  converge_ground solves each sector once, in the window
+truncation_seed draws for T.  The tool prints how many sectors are accepted,
+how many raise at the cap (the seed lies above the cap, and the capped
+window is empty or fails the truncation test) and how many raise otherwise
+(a failed eigensolve, or a window below the cap that fails the test); for
+each window edge the largest estimate / (T |E|) over the accepted sectors
+(the truncation test accepts up to 1 / TRUNCATION_SAFETY); and the sum of
+the accepted dimensions.  It exits 1 if any sector raises otherwise.
 
 --widths and --margin replace solver.WINDOW_WIDTHS and WINDOW_MARGIN for the
 run, to pick them.  --rise also solves every accepted windowed sector without
@@ -29,12 +32,12 @@ OMEGAS = (0.25, 1.0, 4.0, 9.0)
 ATOMS = (10, 15, 20, 27, 34, 45, 56, 67, 80, 99, 120, 140)
 RATIOS = (0.3, 0.6, 0.9, 0.98, 1.0, 1.02, 1.05, 1.1, 1.2, 1.35, 1.5, 1.7, 1.95, 2.2, 2.5)
 PARITIES = ("even", "odd")
-TOL = 1e-8
 EDGES = ("lambda", "nu_lo", "ne_lo", "ne_hi")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--widths", type=float, default=None)
     parser.add_argument("--margin", type=float, default=None)
     parser.add_argument("--rise", action="store_true")
@@ -49,7 +52,7 @@ def main(argv=None) -> int:
         solver.WINDOW_WIDTHS = args.widths
     if args.margin is not None:
         solver.WINDOW_MARGIN = args.margin
-    counts = {"first": 0, "later": 0, "cap": 0, "error": 0}
+    counts = {"accepted": 0, "cap": 0, "error": 0}
     worst = dict.fromkeys(EDGES, 0.0)
     dim_sum, rise = 0, 0.0
     start = time.perf_counter()
@@ -59,14 +62,16 @@ def main(argv=None) -> int:
                 for parity in PARITIES:
                     p = ModelParams.from_ratio(omega_a, x, n_atoms)
                     try:
-                        res = solver.converge_ground(p, parity, tol=TOL)
+                        res = solver.converge_ground(p, parity, tol=args.tol)
                     except ConvergenceError as exc:
-                        verdict = "error" if "reason" in exc.diagnostics else "cap"
+                        capped = exc.diagnostics["lambda_seed"] > solver.DEFAULT_LAMBDA_CAP
+                        truncated = exc.best is not None or exc.diagnostics["dim"] == 0
+                        verdict = "cap" if capped and truncated else "error"
                         counts[verdict] += 1
                         if args.list:
                             print(f"{omega_a:g} {n_atoms} {x:g} {parity} {verdict}")
                         continue
-                    verdict = "first" if len(res.history) == 1 else "later"
+                    verdict = "accepted"
                     counts[verdict] += 1
                     dim_sum += res.basis.size
                     energy = abs(res.eigenvalues[0])
@@ -74,7 +79,7 @@ def main(argv=None) -> int:
                                               res.eigenvectors[:, 0])
                     for edge in EDGES:
                         if edge in leaks:
-                            worst[edge] = max(worst[edge], leaks[edge] / (TOL * energy))
+                            worst[edge] = max(worst[edge], leaks[edge] / (args.tol * energy))
                     if args.rise:
                         full = build_sector_basis(p, res.lambda_max, parity)
                         if full.size > res.basis.size:
@@ -87,9 +92,8 @@ def main(argv=None) -> int:
                               f"lambda={res.lambda_max} box=({b.nu_lo},{b.ne_lo},{b.ne_hi}) "
                               f"dim={b.size} E={float(res.eigenvalues[0])!r}")
     total = sum(counts.values())
-    print(f"sectors {total}: accepted at the first solve {counts['first']}, after more solves "
-          f"{counts['later']}, raised at the cap {counts['cap']}, raised otherwise "
-          f"{counts['error']}")
+    print(f"sectors {total} at tol {args.tol:g}: accepted {counts['accepted']}, raised at the "
+          f"cap {counts['cap']}, raised otherwise {counts['error']}")
     print(f"window K={solver.WINDOW_WIDTHS:g} C={solver.WINDOW_MARGIN:g}; largest "
           f"estimate/(tol|E|) per edge (accepted up to {1 / solver.TRUNCATION_SAFETY:g}): "
           + ", ".join(f"{edge} {worst[edge]:.3g}" for edge in EDGES))
