@@ -3,15 +3,16 @@
 The paper needs one eigenpair per sector: the ground state is the even
 sector's, the first excited state the odd sector's.  Each sector has one
 solver.  Sectors of up to DENSE_CUTOFF states use dense
-LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the sector
-supplies: (1 + omega_a)/2 below its closed-form variational energy, started
-from the variational state (a fixed-seed vector where that state is
-degenerate or annihilated).  The basis is nu-major, so H, given as its
-diagonal and raising couplings, fills the lower band of H - sigma I
-directly, and LAPACK's banded Cholesky of that band both proves the shift
-and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly when
-H - sigma I is positive definite, that is when every eigenvalue lies above
-sigma.  ARPACK stops as soon as its residual bound, scaled by
+LAPACK.  Larger sectors use shift-invert ARPACK at the one shift the model
+supplies: just below its spin floor, a lower bound on every window's ground
+energy (completing the square in the field mode leaves a spin-only
+operator), started from the variational state (a fixed-seed vector where
+that state is degenerate or annihilated).  The basis is nu-major, so H,
+given as its diagonal and raising couplings, fills the lower band of
+H - sigma I directly, and LAPACK's banded Cholesky of that band both proves
+the shift and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly
+when H - sigma I is positive definite, that is when every eigenvalue lies
+above sigma.  ARPACK stops as soon as its residual bound, scaled by
 ||H - sigma I||_1 from the Gershgorin radii, meets the contract
 ||H v - E v|| <= 1e-8, and every result is residual-checked against it.  A
 rejected shift, a solver error or a missed residual raises
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_minus_amp,
@@ -56,6 +57,9 @@ TRUNCATION_SAFETY = 10.0
 # from each mode's closed-form mean (see truncation_seed)
 WINDOW_WIDTHS = 5.5
 WINDOW_MARGIN = 2.0
+# the shift lies this far below the spin floor, relative to the floor's size
+# (at least 1): it covers the rounding of the bisection that finds the floor
+SHIFT_GUARD = 1e-6
 
 
 @dataclass
@@ -74,6 +78,9 @@ class SpectralResult:
     ``trial`` is the variational_vector the shift-invert solve started from,
     which fidelity reads; None on the dense path and where the sector has no
     trial state in the window.
+    ``shift`` is the shift-invert solve's sigma and ``band_solves`` the
+    number of band solves (dpbtrs) ARPACK asked of it; None and 0 on the
+    dense path.
     """
 
     parity: str
@@ -86,12 +93,14 @@ class SpectralResult:
     truncation_estimate: float | None = None
     seed: dict = field(default_factory=dict)
     trial: np.ndarray | None = None
+    shift: float | None = None
+    band_solves: int = 0
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
         return {"dim": self.basis.size, "lambda_max": self.lambda_max, "path": self.path,
                 "residuals": self.residuals, "truncation_estimate": self.truncation_estimate,
-                **self.seed}
+                "shift": self.shift, "band_solves": self.band_solves, **self.seed}
 
 
 # -- closed-form trial states --------------------------------------------------
@@ -142,17 +151,38 @@ def variational_vector(params: ModelParams, parity: str, basis) -> np.ndarray:
     return vec
 
 
-def shift_margin(params: ModelParams) -> float:
-    """Distance of the first shift below the variational energy: (1 + omega_a)/2.
+def _chain_floor(diag: np.ndarray, off: np.ndarray) -> float:
+    """The lowest eigenvalue of the symmetric tridiagonal matrix with this
+    diagonal and off-diagonal, by LAPACK's bisection."""
+    if diag.size == 1:  # dstebz takes no empty off-diagonal
+        return diag[0]
+    count, w, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"E")
+    if info or count != 1:
+        raise RuntimeError(f"dstebz found {count} of 1 eigenvalue (info {info})")
+    return w[0]
 
-    That is the zero-point energy of the uncoupled field and atom modes, the
-    bound on the Holstein-Primakoff correction to the mean-field energy,
-    (eps+ + eps- - 1 - omega_a)/2 >= -(1 + omega_a)/2.  The largest variational
-    excess E_var - E0 measured on the truncation_seed calibration grid is 0.62
-    of it (omega_a = 1, N = 140, x = 1, odd); at omega_a = 9 it is 1.24 = 0.25
-    of it.
+
+def spin_floor(params: ModelParams) -> float:
+    """A lower bound on the ground energy of every window of both sectors.
+
+    Completing the square in the field mode (Emary & Brandes, PRE 67,
+    066203, 2003) gives H = b'b + omega_a Jz - (4 gamma^2/N) Jx^2 with
+    b = a + (2 gamma/sqrt N) Jx.  As b'b >= 0, H, and its restriction to
+    any window, lies above the lowest eigenvalue of the spin-only operator
+    omega_a Jz - (4 gamma^2/N) Jx^2.  Jx^2 keeps the parity of n_e, so that
+    operator is two symmetric tridiagonal chains over n_e of one parity:
+    diagonal omega_a m - (2 gamma^2/N)(j(j+1) - m^2) with m = n_e - j, and
+    -(gamma^2/N) <n_e+1|J+|n_e> <n_e+2|J+|n_e+1> coupling n_e to n_e + 2.
+    The floor is the lower of the two chains' lowest eigenvalues; at
+    gamma = 0 it is the even ground energy -omega_a N/2.
     """
-    return 0.5 * (1.0 + params.omega_a)
+    n_atoms, j = params.n_atoms, params.j
+    c = params.gamma ** 2 / n_atoms
+    ne = np.arange(n_atoms + 1.0)
+    m = ne - j
+    diag = params.omega_a * m - 2.0 * c * (j * (j + 1.0) - m ** 2)
+    off = -c * _spin_plus_amp(ne[:-2], n_atoms) * _spin_plus_amp(ne[1:-1], n_atoms)
+    return min(_chain_floor(diag[first::2], off[first::2]) for first in (0, 1))
 
 
 # -- eigensolvers -----------------------------------------------------------------
@@ -173,21 +203,29 @@ def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
 
 def _verified_shift_invert(H: Stencil, sigma: float, v0: np.ndarray):
     """Shift-invert ARPACK at sigma from v0, after proving sigma below every
-    eigenvalue."""
+    eigenvalue: the eigenvalue, the eigenvector and the number of band
+    solves ARPACK made."""
     n = H.shape[0]
     chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
     if info > 0:  # the Cholesky factor exists exactly when H - sigma I is positive definite
         raise RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
                            f"{info} of {n} is not positive definite")
-    opinv = spla.LinearOperator((n, n), matvec=lambda b: dpbtrs(chol, b, lower=1)[0],
-                                dtype=H.dtype)
+    solves = 0
+
+    def band_solve(b):
+        nonlocal solves
+        solves += 1
+        return dpbtrs(chol, b, lower=1)[0]
+
+    opinv = spla.LinearOperator((n, n), matvec=band_solve, dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
     # and then ||H v - (sigma + 1/theta) v|| <= tol ||H - sigma||_2 <= tol ||H - sigma||_1:
     # this tol meets RESIDUAL_TOL without iterating on to machine precision.
     # By symmetry the 1-norm, a largest column sum, is the largest row sum.
     tol = RESIDUAL_TOL / (np.abs(H.diag - sigma) + H.radii()).max()
-    return spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
-                      ncv=min(n, 6), tol=tol)
+    vals, vecs = spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
+                            ncv=min(n, 6), tol=tol)
+    return vals, vecs, solves
 
 
 def _trial_state(basis: SectorBasis) -> np.ndarray | None:
@@ -211,28 +249,31 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
 
     Up to DENSE_CUTOFF states dense LAPACK solves the sector.  Above it one
     _verified_shift_invert runs from the sector's _trial_state, kept as the
-    result's ``trial`` (else from _fixed_start), at the shift the sector
-    supplies, shift_margin below its variational energy.  The shift is
-    accepted only when the Cholesky factorization of H - sigma I succeeds,
-    which proves it below every eigenvalue.  A rejected shift (named with the
-    leading minor that is not positive definite), an ARPACK or LAPACK error
-    or a residual above RESIDUAL_TOL raises ConvergenceError.
+    result's ``trial`` (else from _fixed_start), at the shift the model
+    supplies: SHIFT_GUARD times max(1, |floor|) below its spin_floor, so
+    below every eigenvalue of the window by a theorem, not a calibration.
+    The Cholesky factorization of H - sigma I still proves it before ARPACK
+    runs.  The result keeps the shift and the number of band solves.  A
+    rejected shift (named with the leading minor that is not positive
+    definite), an ARPACK or LAPACK error or a residual above RESIDUAL_TOL
+    raises ConvergenceError, whose diagnostics carry the shift.
     """
     dim = op.dimension
     H = op.matrix
-    params, parity = op.basis.params, op.basis.parity
-    residuals = trial = None
+    residuals = trial = sigma = None
+    solves = 0
     if dim <= DENSE_CUTOFF:
         path = "dense"
     else:
         path = "variational shift-invert"
-        sigma = variational_energy(params, parity) - shift_margin(params)
         trial = _trial_state(op.basis)
     try:
         if path == "dense":
             vals, vecs = la.eigh(H.toarray(), subset_by_index=(0, 0))
         else:
-            vals, vecs = _verified_shift_invert(
+            floor = spin_floor(op.basis.params)
+            sigma = floor - SHIFT_GUARD * max(1.0, abs(floor))
+            vals, vecs, solves = _verified_shift_invert(
                 H, sigma, _fixed_start(dim) if trial is None else trial)
     except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
@@ -242,7 +283,7 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
         residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
         if residuals[0] <= RESIDUAL_TOL:
             return SpectralResult(
-                parity=parity,
+                parity=op.basis.parity,
                 lambda_max=op.basis.lambda_max,
                 eigenvalues=vals,
                 eigenvectors=vecs,
@@ -250,11 +291,14 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
                 path=path,
                 residuals=residuals,
                 trial=trial,
+                shift=sigma,
+                band_solves=solves,
             )
         reason = f"residual {residuals[0]:.3e} exceeds {RESIDUAL_TOL:.1e}"
     raise ConvergenceError(
         f"{path} failed at dimension {dim}: {reason}",
-        diagnostics={"dim": dim, "path": path, "reason": reason, "residuals": residuals},
+        diagnostics={"dim": dim, "path": path, "reason": reason, "residuals": residuals,
+                     "shift": sigma},
     )
 
 

@@ -208,6 +208,14 @@ def spin_matrices(n_atoms):
     return jp, jp.T.copy(), jz
 
 
+def spin_only_hamiltonian(omega_a, gamma, n_atoms):
+    """Dense omega_a Jz - (4 gamma^2/N) Jx^2 on the Dicke space, from
+    spin_matrices: H less b'b, b = a + (2 gamma/sqrt N) Jx."""
+    jp, jm, jz = spin_matrices(n_atoms)
+    jx = 0.5 * (jp + jm)
+    return omega_a * jz - 4.0 * gamma ** 2 / n_atoms * (jx @ jx)
+
+
 def projected_coherent_grid(omega_a, gamma, n_atoms, parity, nu_max, phi_c=0.0):
     """Normalized parity projection of |alpha> x |zeta| at the minimizing point.
 

@@ -13,9 +13,10 @@ from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
 from dickelab.sas import photon_number_coherent
 from dickelab.solver import (
     RESIDUAL_TOL,
+    SHIFT_GUARD,
     converge_ground,
     lowest_eigenpairs,
-    shift_margin,
+    spin_floor,
     truncation_seed,
     variational_energy,
     variational_vector,
@@ -48,10 +49,15 @@ def _record_solves(monkeypatch):
     return bases
 
 
-def _shift_at(monkeypatch, sigma):
-    """Put the first shift of lowest_eigenpairs at sigma."""
-    monkeypatch.setattr(solver, "variational_energy",
-                        lambda params, parity: sigma + shift_margin(params))
+def _shift_at(monkeypatch, floor):
+    """Put the spin floor lowest_eigenpairs shifts from at floor: the shift
+    is SHIFT_GUARD max(1, |floor|) below it."""
+    monkeypatch.setattr(solver, "spin_floor", lambda params: floor)
+
+
+def _shift_below(floor):
+    """The shift lowest_eigenpairs takes below a spin floor."""
+    return floor - SHIFT_GUARD * max(1.0, abs(floor))
 
 
 def _record_eigsh(monkeypatch):
@@ -101,6 +107,8 @@ class TestLowestEigenpairs:
         p = ModelParams(0.8, 0.6, 4)
         basis = build_sector_basis(p, 12, "even")
         res = lowest_eigenpairs(build_hamiltonian(p, basis))
+        # the dense path has no shift and makes no band solve
+        assert (res.path, res.shift, res.band_solves) == ("dense", None, 0)
         Hb, states = brute.dense_hamiltonian(0.8, 0.6, 4, 12, "even")
         wb, vb = np.linalg.eigh(Hb)
         assert res.eigenvalues[0] == pytest.approx(wb[0], abs=1e-10)
@@ -295,11 +303,15 @@ class TestOneVerifiedSolve:
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-12
 
     def test_separatrix_odd_excess_below_margin(self):
-        # largest variational excess measured; the shift must still clear it
+        # a large variational excess; the shift, taken from the spin floor
+        # and not from the variational energy, still lies below E0, and
+        # closer to it than the variational energy lies above
         p = ModelParams.from_ratio(1.0, 0.98, 30)
         res = converge_ground(p, "odd", tol=1e-8)
         assert res.path == "variational shift-invert"
-        assert 0.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
+        assert res.shift == _shift_below(spin_floor(p))
+        energy = res.eigenvalues[0]
+        assert 0.0 < energy - res.shift < variational_energy(p, "odd") - energy
 
     def test_guess_above_first_excited_rejected(self, monkeypatch):
         p = ModelParams.from_ratio(1.0, 1.5, 20)
@@ -308,11 +320,14 @@ class TestOneVerifiedSolve:
         n = op.dimension
         assert n > solver.DENSE_CUTOFF
         _, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
-        sigma = 0.5 * (e1 + e2)
-        _shift_at(monkeypatch, sigma)
+        _shift_at(monkeypatch, 0.5 * (e1 + e2))
         calls = _record_eigsh(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
             lowest_eigenpairs(op)
+        # the error carries the shift, which lies between E1 and E2
+        sigma = err.value.diagnostics["shift"]
+        assert sigma == _shift_below(0.5 * (e1 + e2))
+        assert e1 < sigma < e2
         # the first leading minor of H - sigma I in nu-major order that is not
         # positive definite; by interlacing the lowest eigenvalue of a leading
         # minor falls as the minor grows, so bisect for it
@@ -353,10 +368,24 @@ class TestOneVerifiedSolve:
             return dpbtrf(band, **kwargs)
 
         monkeypatch.setattr(solver, "dpbtrf", recording)
+        solved = []
+        dpbtrs = solver.dpbtrs
+
+        def recording_solve(chol, b, **kwargs):
+            solved.append(kwargs)
+            return dpbtrs(chol, b, **kwargs)
+
+        monkeypatch.setattr(solver, "dpbtrs", recording_solve)
         calls = _record_eigsh(monkeypatch)
         res = lowest_eigenpairs(op)
         assert res.path == "variational shift-invert"
-        sigma = variational_energy(p, parity) - shift_margin(p)
+        sigma = _shift_below(spin_floor(p))
+        assert res.shift == sigma
+        # the result counts ARPACK's band solves, and its diagnostics report both
+        assert res.band_solves == len(solved) > 0
+        assert all(kwargs == {"lower": 1} for kwargs in solved)
+        assert {key: res.diagnostics()[key] for key in ("shift", "band_solves")} == {
+            "shift": sigma, "band_solves": len(solved)}
         # the lower band of H - sigma I in the basis' nu-major order, read off
         # the dense matrix
         shifted = op.toarray() - sigma * np.eye(n)
@@ -373,7 +402,7 @@ class TestOneVerifiedSolve:
         assert (zero.size > 0) == (parity == "odd")
         assert np.all(band[0, zero] == -sigma)
         norm1 = np.abs(shifted).sum(axis=0).max()
-        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)
+        assert calls[0]["tol"] == pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14, abs=0.0)
         # one eigenpair, the largest of OP = (H - sigma I)^-1, from a Lanczos basis of six
         assert {key: calls[0][key] for key in ("k", "ncv", "which")} == {
             "k": 1, "ncv": 6, "which": "LM"}
@@ -658,12 +687,59 @@ class TestShiftProof:
         H = build_hamiltonian(p, basis).matrix
         e0, e1 = np.linalg.eigvalsh(
             brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)[0])[:2]
-        vals, _ = solver._verified_shift_invert(H, e0 - below, solver._fixed_start(basis.size))
+        vals, _, _ = solver._verified_shift_invert(H, e0 - below,
+                                                   solver._fixed_start(basis.size))
         assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
         if e1 - e0 > 1e-6:  # a shift inside a near-degenerate pair is below rounding
             sigma = e0 + between * (e1 - e0)
             with pytest.raises(RuntimeError, match=re.escape(f"shift {sigma:.6g} is not below")):
                 solver._verified_shift_invert(H, sigma, solver._fixed_start(basis.size))
+
+
+class TestSpinFloor:
+    """spin_floor bounds every window's ground energy from below."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(1, 20),
+           omega_a=st.floats(0.25, 9.0), gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+           parity=st.sampled_from(["even", "odd"]),
+           box=st.one_of(st.none(), st.tuples(st.integers(0, 8), st.integers(0, 12),
+                                              st.integers(0, 12))))
+    @example(n_atoms=6, lambda_max=12, omega_a=1.0, gamma=0.0, parity="even", box=None)
+    @example(n_atoms=6, lambda_max=12, omega_a=1.0, gamma=0.0, parity="odd", box=None)
+    def test_below_every_window_of_brute(self, n_atoms, lambda_max, omega_a, gamma, parity,
+                                         box):
+        # a boxed window's H is brute's whole-sector H restricted to the
+        # window's states; box None is the whole sector
+        p = ModelParams(omega_a, gamma, n_atoms)
+        if box is None:
+            basis = build_sector_basis(p, lambda_max, parity)
+        else:
+            nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
+            basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
+        assume(basis.size > 0)
+        H, states = brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)
+        inside = [i for i, (nu, ne) in enumerate(states) if brute.position(basis, nu, ne) >= 0]
+        e0 = np.linalg.eigvalsh(H[np.ix_(inside, inside)])[0]
+        floor = spin_floor(p)
+        assert floor <= e0 + 1e-12 * max(1.0, abs(e0))
+        assert _shift_below(floor) < e0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(1, 300), omega_a=st.floats(0.25, 9.0))
+    def test_uncoupled_floor_is_the_even_ground_energy(self, n_atoms, omega_a):
+        # at gamma = 0 the floor is the vacuum |0, n_e = 0>, all atoms down
+        p = ModelParams(omega_a, 0.0, n_atoms)
+        assert spin_floor(p) == -omega_a * n_atoms / 2
+        assert _solve(p, 2, "even").eigenvalues[0] == spin_floor(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_atoms=st.integers(1, 40), omega_a=st.floats(0.25, 9.0),
+           gamma=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    def test_matches_the_dense_spin_only_operator(self, n_atoms, omega_a, gamma):
+        floor = spin_floor(ModelParams(omega_a, gamma, n_atoms))
+        dense = np.linalg.eigvalsh(brute.spin_only_hamiltonian(omega_a, gamma, n_atoms))[0]
+        assert floor == pytest.approx(dense, rel=0.0, abs=1e-12 * max(1.0, abs(dense)))
 
 
 class TestClosedFormSizing:
@@ -682,14 +758,19 @@ class TestClosedFormSizing:
         _assert_settled(res, p, parity, 1e-8)
         assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
 
-    # variational excess 1.0-1.2: above a fixed margin of one field quantum,
-    # below (1 + omega_a)/2
+    # variational excess 1.0-1.2, above a fixed margin of one field quantum:
+    # the shift from the spin floor still lies below E0, and closer to it
+    # than the variational energy less the uncoupled zero-point energy
+    # (1 + omega_a)/2
     @pytest.mark.parametrize("omega_a,n_atoms", [(9.0, 20), (9.0, 60), (4.0, 60)])
     def test_large_omega_separatrix_on_the_variational_shift(self, omega_a, n_atoms):
         p = ModelParams.from_ratio(omega_a, 1.0, n_atoms)
         res = converge_ground(p, "odd", tol=1e-8)
         assert res.path == "variational shift-invert"
-        assert 1.0 < variational_energy(p, "odd") - res.eigenvalues[0] < shift_margin(p)
+        energy, e_var = res.eigenvalues[0], variational_energy(p, "odd")
+        assert 1.0 < e_var - energy
+        assert res.shift == _shift_below(spin_floor(p))
+        assert 0.0 < energy - res.shift < energy - (e_var - 0.5 * (1.0 + omega_a))
 
     def test_arpack_stop_matched_to_the_residual_contract(self, monkeypatch):
         p = ModelParams.from_ratio(1.0, 2.0, 60)
@@ -706,7 +787,8 @@ class TestClosedFormSizing:
         # the 1-norm does not depend on the order of the states, so brute's
         # loop-built H in its own order gives it
         H, _ = brute.coo_hamiltonian(p.omega_a, p.gamma, p.n_atoms, res.lambda_max, "even")
-        sigma = variational_energy(p, "even") - shift_margin(p)
+        sigma = _shift_below(spin_floor(p))
+        assert res.shift == sigma
         norm1 = abs(H - sigma * sp.identity(H.shape[0])).sum(axis=0).max()
-        assert tols == [pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14)]
+        assert tols == [pytest.approx(RESIDUAL_TOL / norm1, rel=1e-14, abs=0.0)]
         assert res.residuals[0] <= RESIDUAL_TOL

@@ -1,6 +1,7 @@
 """Smoke tests of tools/calibrate_truncation.py on a few sectors and of
 tools/cli_digest.py's comparison of two outputs."""
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ first
     assert tool.main(["--rise", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 + 3
+    assert len(lines) == 8 + 4
     assert lines[8] == ("sectors 8 at tol 1e-08: accepted 8, raised at the cap 0, "
                         "raised otherwise 0")
     assert [line.split()[:5] for line in lines[:8]] == [
@@ -37,6 +38,15 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
         for n in (10, 40) for x in ("0.6", "2.5") for parity in ("even", "odd")]
     assert sum(" box=(9,0,40) " in line for line in lines[:8]) == 2
     assert "largest energy rise from the box" in lines[10]
+    # the six sectors above the dense cutoff (dim 272 to 2327) are shift-inverted,
+    # each with at least one band solve, from a shift below its ground energy
+    dims = [int(re.search(r" dim=(\d+) ", line).group(1)) for line in lines[:8]]
+    assert sum(dim > 120 for dim in dims) == 6
+    summary = re.fullmatch(r"shift-invert sectors 6: band solves (\d+); "
+                           r"E0 - sigma median (\S+), largest (\S+)", lines[11])
+    assert summary is not None, lines[11]
+    solves, median, largest = int(summary[1]), float(summary[2]), float(summary[3])
+    assert solves >= 6 and 0.0 < median <= largest
 
 
 def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
@@ -52,6 +62,7 @@ def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
     assert lines[:2] == ["4 99 2.5 even cap", "4 99 2.5 odd cap"]
     assert lines[2] == ("sectors 2 at tol 1e-08: accepted 0, raised at the cap 2, "
                         "raised otherwise 0")
+    assert lines[5] == "shift-invert sectors 0: band solves 0; E0 - sigma median 0, largest 0"
 
 
 def _joint_table(nu, ne, p, fmt):
