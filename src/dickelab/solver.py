@@ -12,10 +12,16 @@ given as its diagonal and raising couplings, fills the lower band of
 H - sigma I directly, and LAPACK's banded Cholesky of that band both proves
 the shift and applies (H - sigma I)^-1 for ARPACK: the factor exists exactly
 when H - sigma I is positive definite, that is when every eigenvalue lies
-above sigma.  ARPACK stops as soon as its residual bound, scaled by
+above sigma.  Every coupling joins nu to nu + 1, so H is bipartite between
+the even-nu and odd-nu states; above SCHUR_CUTOFF states the Cholesky
+factor is taken of the Schur complement on the odd-nu states instead,
+banded as H on half the states, which proves the same and does half the
+work.  ARPACK stops as soon as its residual bound, scaled by
 ||H - sigma I||_1 from the Gershgorin radii, meets the contract
 ||H v - E v|| <= 1e-8, and every result is residual-checked against it.  A
-rejected shift, a solver error or a missed residual raises
+shift-invert result must also lie below the trial state's Rayleigh quotient
+by no less than its residual, or it is not the ground state.  A rejected
+shift, a solver error, a missed residual or an excited state raises
 ConvergenceError; nothing is retried.
 
 converge_ground solves one window: truncation_seed's, drawn from the
@@ -28,6 +34,7 @@ otherwise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,6 +56,14 @@ from .surface import (atom_statistics, lambda_statistics, minimum_energy, normal
 # 11 of 23 sectors), and the sparse solve is faster in every sector from 120
 # (0.79 against 0.95 ms at 120-129, 0.58 against 1.58 ms at 200-209)
 DENSE_CUTOFF = 120
+# lowest_eigenpairs on calibration-grid windows, band path against Schur
+# path, median per 500-state bin (one BLAS thread, 2-core host): the band
+# path is faster below 2000 states (1.09 against 1.29 ms at 1000-1499), the
+# two are even at 2000-2499 (1.98 against 1.95 ms, Schur faster in 26 of 51
+# sectors), the Schur path is faster in 27 of 42 sectors at 2500-2999, in 30
+# of 35 at 3000-3499 and in every sector from 4000 (6.08 against 5.10 ms at
+# 5500-5999)
+SCHUR_CUTOFF = 3000
 RESIDUAL_TOL = 1e-8
 DEFAULT_LAMBDA_CAP = 400
 # the truncation estimate times this must stay below tol |E|
@@ -80,7 +95,8 @@ class SpectralResult:
     trial state in the window.
     ``shift`` is the shift-invert solve's sigma and ``band_solves`` the
     number of band solves (dpbtrs) ARPACK asked of it; None and 0 on the
-    dense path.
+    dense path.  ``schur`` is True where the solve factored the Schur
+    complement of the odd-nu states (above SCHUR_CUTOFF states).
     """
 
     parity: str
@@ -95,12 +111,14 @@ class SpectralResult:
     trial: np.ndarray | None = None
     shift: float | None = None
     band_solves: int = 0
+    schur: bool = False
 
     def diagnostics(self) -> dict:
         """How the result was obtained, as carried by ConvergenceError."""
         return {"dim": self.basis.size, "lambda_max": self.lambda_max, "path": self.path,
                 "residuals": self.residuals, "truncation_estimate": self.truncation_estimate,
-                "shift": self.shift, "band_solves": self.band_solves, **self.seed}
+                "shift": self.shift, "band_solves": self.band_solves, "schur": self.schur,
+                **self.seed}
 
 
 # -- closed-form trial states --------------------------------------------------
@@ -162,6 +180,7 @@ def _chain_floor(diag: np.ndarray, off: np.ndarray) -> float:
     return w[0]
 
 
+@functools.lru_cache(maxsize=1)
 def spin_floor(params: ModelParams) -> float:
     """A lower bound on the ground energy of every window of both sectors.
 
@@ -174,7 +193,8 @@ def spin_floor(params: ModelParams) -> float:
     diagonal omega_a m - (2 gamma^2/N)(j(j+1) - m^2) with m = n_e - j, and
     -(gamma^2/N) <n_e+1|J+|n_e> <n_e+2|J+|n_e+1> coupling n_e to n_e + 2.
     The floor is the lower of the two chains' lowest eigenvalues; at
-    gamma = 0 it is the even ground energy -omega_a N/2.
+    gamma = 0 it is the even ground energy -omega_a N/2.  The last floor is
+    kept, so the even and odd sectors of one sweep point bisect once.
     """
     n_atoms, j = params.n_atoms, params.j
     c = params.gamma ** 2 / n_atoms
@@ -201,21 +221,128 @@ def _lower_band(H: Stencil, sigma: float) -> np.ndarray:
     return band
 
 
-def _verified_shift_invert(H: Stencil, sigma: float, v0: np.ndarray):
-    """Shift-invert ARPACK at sigma from v0, after proving sigma below every
-    eigenvalue: the eigenvalue, the eigenvector and the number of band
+def _odd_couplings(H: Stencil, basis: SectorBasis, even: np.ndarray, rank: np.ndarray):
+    """The couplings of each odd-nu state o to the four even-nu states
+    (nu - 1, n_e - 1), (nu - 1, n_e + 1), (nu + 1, n_e - 1) and
+    (nu + 1, n_e + 1): values and positions, each of shape (4, odd-nu
+    states) with these in rows 0-3 and o in the column rank[o], and value 0
+    and position 0 where the state lies outside the window.  ``rank`` holds
+    each state's position among the states of its nu parity.  Every
+    coupling of H joins nu to nu + 1 and n_e to n_e -+ 1."""
+    n_odd = basis.size - np.count_nonzero(even)
+    src_even = even[H.src]
+    raising = basis.ne[H.tgt] > basis.ne[H.src]
+    flat = (np.where(src_even, 1 - raising, 2 + raising) * n_odd
+            + rank[np.where(src_even, H.tgt, H.src)])
+    val, pos = np.zeros(4 * n_odd), np.zeros(4 * n_odd, dtype=np.intp)
+    val[flat] = H.val
+    pos[flat] = rank[np.where(src_even, H.src, H.tgt)]
+    return val.reshape(4, n_odd), pos.reshape(4, n_odd)
+
+
+def _schur_band(H: Stencil, basis: SectorBasis, sigma: float, even: np.ndarray,
+                inv: np.ndarray):
+    """LAPACK's lower band storage of the Schur complement of H - sigma I on
+    its odd-nu states, S = (D_O - sigma) - B' (D_E - sigma)^-1 B, in their
+    nu-major order, and the couplings B' as _odd_couplings gives them.
+
+    Every coupling joins nu to nu + 1, so with the even-nu states first
+    H - sigma I = [[D_E - sigma, B], [B', D_O - sigma]] with D_E and D_O
+    diagonal; ``inv`` holds 1 / (H_ee - sigma) per even-nu state e.  Each e
+    adds -H_oe H_eo' / (H_ee - sigma) to S[o, o'] for every two of the
+    odd-nu states it couples to, so S couples (nu, n_e) only to itself, to
+    (nu, n_e + 2) and to (nu + 2, n_e + {-2, 0, 2}): the pairs
+    basis.neighbours gives for those shifts.  Its half-bandwidth is about
+    H's, on half the states.
+    """
+    odd = ~even
+    before = np.cumsum(even)  # the even-nu states up to each state
+    rank = np.where(even, before - 1, np.arange(basis.size) - before)
+    val, pos = _odd_couplings(H, basis, even, rank)
+    # rows 0-3: the couplings to (nu - 1, n_e - 1), (nu - 1, n_e + 1),
+    # (nu + 1, n_e - 1) and (nu + 1, n_e + 1); weight divides each by H_ee - sigma there
+    weight = val * inv[pos]
+
+    def pairs(dnu, dne):
+        src, tgt = basis.neighbours(dnu, dne)
+        keep = odd[src]
+        return rank[src[keep]], rank[tgt[keep]]
+
+    src, tgt = pairs(0, 2)  # through (nu + 1, n_e + 1) and (nu - 1, n_e + 1)
+    entries = [(src, tgt, weight[3][src] * val[2][tgt] + weight[1][src] * val[0][tgt])]
+    src, tgt = pairs(2, -2)  # through (nu + 1, n_e - 1)
+    entries.append((src, tgt, weight[2][src] * val[1][tgt]))
+    src, tgt = pairs(2, 0)  # through (nu + 1, n_e + 1) and (nu + 1, n_e - 1)
+    entries.append((src, tgt, weight[3][src] * val[1][tgt] + weight[2][src] * val[0][tgt]))
+    src, tgt = pairs(2, 2)  # through (nu + 1, n_e + 1)
+    entries.append((src, tgt, weight[3][src] * val[0][tgt]))
+    width = max((tgt - src).max(initial=0) for src, tgt, _ in entries)
+    band = np.zeros((width + 1, val.shape[1]), order="F")
+    band[0] = H.diag[odd] - sigma - (weight * val).sum(axis=0)
+    for src, tgt, entry in entries:
+        band[tgt - src, src] = -entry
+    return band, val, pos
+
+
+def _factor(H: Stencil, basis: SectorBasis, sigma: float):
+    """The band Cholesky factorization that proves sigma below the spectrum,
+    as the solve b -> (H - sigma I)^-1 b; RuntimeError naming the first
+    leading minor of H - sigma I that is not positive definite otherwise.
+
+    Up to SCHUR_CUTOFF states the band is that of H - sigma I, and the
+    minor counts in the basis' order.  Above it the band is the Schur
+    complement S of the odd-nu states (_schur_band), and the minor counts
+    with the even-nu states first: H - sigma I is positive definite exactly
+    when D_E - sigma and S are, and a failure of either names its minor.  A
+    solve then takes u = b_E / d_E, y = S^-1 (b_O - B' u) and
+    x_E = u - B y / d_E, and keeps the basis' order.
+    """
+    n = basis.size
+
+    def rejected(minor, order=""):
+        return RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
+                            f"{minor} of {n}{order} is not positive definite")
+
+    if n <= SCHUR_CUTOFF:
+        chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise rejected(info)
+        return lambda b: dpbtrs(chol, b, lower=1)[0]
+    even = (basis.nu & 1) == 0
+    gap = H.diag[even] - sigma
+    short = np.flatnonzero(gap <= 0.0)
+    if short.size:
+        raise rejected(short[0] + 1, ", even-nu states first,")
+    inv = 1.0 / gap
+    band, val, pos = _schur_band(H, basis, sigma, even, inv)
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise rejected(gap.size + info, ", even-nu states first,")
+    odd = ~even
+
+    def solve(b):
+        u = b[even] * inv
+        y = dpbtrs(chol, b[odd] - (val * u[pos]).sum(axis=0), lower=1)[0]
+        x = np.empty(n)
+        x[odd] = y
+        x[even] = u - inv * np.bincount(pos.ravel(), (val * y).ravel(), inv.size)
+        return x
+
+    return solve
+
+
+def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float, v0: np.ndarray):
+    """Shift-invert ARPACK at sigma from v0, after _factor proves sigma below
+    every eigenvalue: the eigenvalue, the eigenvector and the number of band
     solves ARPACK made."""
     n = H.shape[0]
-    chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
-    if info > 0:  # the Cholesky factor exists exactly when H - sigma I is positive definite
-        raise RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
-                           f"{info} of {n} is not positive definite")
+    factored = _factor(H, basis, sigma)
     solves = 0
 
     def band_solve(b):
         nonlocal solves
         solves += 1
-        return dpbtrs(chol, b, lower=1)[0]
+        return factored(b)
 
     opinv = spla.LinearOperator((n, n), matvec=band_solve, dtype=H.dtype)
     # ARPACK stops once ||OP v - theta v|| <= tol |theta| with OP = (H - sigma)^-1,
@@ -252,11 +379,15 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
     result's ``trial`` (else from _fixed_start), at the shift the model
     supplies: SHIFT_GUARD times max(1, |floor|) below its spin_floor, so
     below every eigenvalue of the window by a theorem, not a calibration.
-    The Cholesky factorization of H - sigma I still proves it before ARPACK
-    runs.  The result keeps the shift and the number of band solves.  A
-    rejected shift (named with the leading minor that is not positive
-    definite), an ARPACK or LAPACK error or a residual above RESIDUAL_TOL
-    raises ConvergenceError, whose diagnostics carry the shift.
+    The Cholesky factorization of H - sigma I, or above SCHUR_CUTOFF states
+    of its Schur complement on the odd-nu states, still proves it before
+    ARPACK runs.  The result keeps the shift, the number of band solves and
+    which factorization ran.  A rejected shift (named with the leading
+    minor that is not positive definite), an ARPACK or LAPACK error, a
+    residual above RESIDUAL_TOL, or an energy above the trial state's
+    Rayleigh quotient by more than the residual (an excited state, caught at
+    the cost of one matvec) raises ConvergenceError, whose diagnostics carry
+    the shift.
     """
     dim = op.dimension
     H = op.matrix
@@ -274,14 +405,25 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
             floor = spin_floor(op.basis.params)
             sigma = floor - SHIFT_GUARD * max(1.0, abs(floor))
             vals, vecs, solves = _verified_shift_invert(
-                H, sigma, _fixed_start(dim) if trial is None else trial)
+                H, op.basis, sigma, _fixed_start(dim) if trial is None else trial)
     except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
     else:
         if vecs[np.argmax(np.abs(vecs[:, 0])), 0] < 0:  # largest coefficient positive
             vecs = -vecs
         residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-        if residuals[0] <= RESIDUAL_TOL:
+        # the window's ground energy lies at or below the trial state's Rayleigh
+        # quotient, and some eigenvalue within the residual of vals[0]; 1e-12
+        # relative covers the rounding of the quotient
+        rayleigh = None if trial is None else trial @ (H @ trial) / (trial @ trial)
+        if residuals[0] > RESIDUAL_TOL:
+            reason = f"residual {residuals[0]:.3e} exceeds {RESIDUAL_TOL:.1e}"
+        elif rayleigh is not None and (vals[0] - residuals[0]
+                                       > rayleigh + 1e-12 * abs(rayleigh)):
+            reason = (f"energy {vals[0]:.17g} lies above the trial state's Rayleigh "
+                      f"quotient {rayleigh:.17g} by more than the residual "
+                      f"{residuals[0]:.3e}: not the ground state")
+        else:
             return SpectralResult(
                 parity=op.basis.parity,
                 lambda_max=op.basis.lambda_max,
@@ -293,8 +435,8 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
                 trial=trial,
                 shift=sigma,
                 band_solves=solves,
+                schur=path != "dense" and dim > SCHUR_CUTOFF,
             )
-        reason = f"residual {residuals[0]:.3e} exceeds {RESIDUAL_TOL:.1e}"
     raise ConvergenceError(
         f"{path} failed at dimension {dim}: {reason}",
         diagnostics={"dim": dim, "path": path, "reason": reason, "residuals": residuals,

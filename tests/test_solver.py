@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from dickelab import solver
+from dickelab import cli, solver
 from dickelab.errors import ConvergenceError, ProjectionAnnihilationError
 from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
 from dickelab.sas import photon_number_coherent
@@ -77,6 +77,21 @@ def _assert_settled(res, params, parity, tol):
     """The accepted energy agrees with a solve 40 shells larger within tol |E|."""
     wide = _solve(params, res.lambda_max + 40, parity).eigenvalues[0]
     assert abs(res.eigenvalues[0] - wide) <= tol * abs(wide)
+
+
+def _first_indefinite_minor(shifted, order):
+    """The first leading minor of shifted, in this order of its states, that is
+    not positive definite; by interlacing the lowest eigenvalue of a leading
+    minor falls as the minor grows, so bisect for it."""
+    shifted = shifted[np.ix_(order, order)]
+    lo, hi = 0, len(order)  # the minor of order lo is positive definite, that of hi is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.linalg.eigvalsh(shifted[:mid, :mid])[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestLowestEigenpairs:
@@ -329,17 +344,9 @@ class TestOneVerifiedSolve:
         assert sigma == _shift_below(0.5 * (e1 + e2))
         assert e1 < sigma < e2
         # the first leading minor of H - sigma I in nu-major order that is not
-        # positive definite; by interlacing the lowest eigenvalue of a leading
-        # minor falls as the minor grows, so bisect for it
-        order = np.lexsort((basis.ne, basis.nu))
-        shifted = (op.toarray() - sigma * np.eye(n))[np.ix_(order, order)]
-        lo, hi = 0, n  # the minor of order lo is positive definite, that of order hi is not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if np.linalg.eigvalsh(shifted[:mid, :mid])[0] > 0.0:
-                lo = mid
-            else:
-                hi = mid
+        # positive definite
+        hi = _first_indefinite_minor(op.toarray() - sigma * np.eye(n),
+                                     np.lexsort((basis.ne, basis.nu)))
         diag = err.value.diagnostics
         assert diag["reason"] == (f"shift {sigma:.6g} is not below the spectrum: "
                                   f"leading minor {hi} of {n} is not positive definite")
@@ -458,6 +465,30 @@ class TestOneVerifiedSolve:
         assert diag["reason"] == "no convergence"
         assert diag["residuals"] is None
         assert dense_calls == []
+
+    def test_excited_ritz_pair_raises(self, monkeypatch):
+        # a solver that returns the first excited pair meets the residual
+        # contract, but lies above the trial state's Rayleigh quotient
+        p = ModelParams.from_ratio(1.0, 1.5, 20)
+        basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], "even")
+        op = build_hamiltonian(p, basis)
+        assert op.dimension > solver.DENSE_CUTOFF
+        w, v = np.linalg.eigh(op.toarray())
+        trial = variational_vector(p, "even", basis)
+        rayleigh = trial @ (op.matrix @ trial) / (trial @ trial)
+        assert w[0] < rayleigh < w[1]
+        monkeypatch.setattr(solver.spla, "eigsh", lambda H, k, **kwargs: (w[1:2], v[:, 1:2]))
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op)
+        diag = err.value.diagnostics
+        assert diag["residuals"][0] <= RESIDUAL_TOL
+        assert diag["reason"] == (
+            f"energy {w[1]:.17g} lies above the trial state's Rayleigh quotient "
+            f"{rayleigh:.17g} by more than the residual {diag['residuals'][0]:.3e}: "
+            f"not the ground state")
+        # the ground pair passes the same check
+        monkeypatch.setattr(solver.spla, "eigsh", lambda H, k, **kwargs: (w[:1], v[:, :1]))
+        assert lowest_eigenpairs(op).eigenvalues[0] == w[0]
 
     # the odd trial state cannot seed the sector where the projection
     # annihilates it (x = 1) nor where it is degenerate (gamma = 0); the start
@@ -687,13 +718,137 @@ class TestShiftProof:
         H = build_hamiltonian(p, basis).matrix
         e0, e1 = np.linalg.eigvalsh(
             brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)[0])[:2]
-        vals, _, _ = solver._verified_shift_invert(H, e0 - below,
+        vals, _, _ = solver._verified_shift_invert(H, basis, e0 - below,
                                                    solver._fixed_start(basis.size))
         assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
         if e1 - e0 > 1e-6:  # a shift inside a near-degenerate pair is below rounding
             sigma = e0 + between * (e1 - e0)
             with pytest.raises(RuntimeError, match=re.escape(f"shift {sigma:.6g} is not below")):
-                solver._verified_shift_invert(H, sigma, solver._fixed_start(basis.size))
+                solver._verified_shift_invert(H, basis, sigma,
+                                              solver._fixed_start(basis.size))
+
+
+def _dense_schur(shifted, basis):
+    """The Schur complement of H - sigma I on its odd-nu states, from the
+    dense matrix, in their nu-major order."""
+    even = basis.nu % 2 == 0
+    odd = ~even
+    coupling = shifted[np.ix_(even, odd)]
+    return (shifted[np.ix_(odd, odd)]
+            - coupling.T @ (coupling / np.diagonal(shifted)[even][:, None]))
+
+
+class TestSchurComplement:
+    """Above SCHUR_CUTOFF states the shift-invert solve factors the Schur
+    complement of the odd-nu states; the cutoff is lowered here so that small
+    windows take that path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_atoms=st.integers(2, 12), lambda_max=st.integers(2, 20),
+           omega_a=st.floats(0.25, 9.0), gamma=st.floats(-2.0, 2.0),
+           parity=st.sampled_from(["even", "odd"]),
+           box=st.one_of(st.none(), st.tuples(st.integers(0, 4), st.integers(0, 12),
+                                              st.integers(0, 12))),
+           offset=st.floats(-2.0, 2.0))
+    def test_band_is_the_dense_schur_complement(self, n_atoms, lambda_max, omega_a, gamma,
+                                                parity, box, offset):
+        p = ModelParams(omega_a, gamma, n_atoms)
+        if box is None:
+            basis = build_sector_basis(p, lambda_max, parity)
+        else:
+            nu_lo, (ne_lo, ne_hi) = box[0], sorted(min(e, n_atoms) for e in box[1:])
+            basis = build_sector_basis(p, lambda_max, parity, nu_lo, ne_lo, ne_hi)
+        even = basis.nu % 2 == 0
+        assume(basis.size >= 3 and 0 < even.sum() < basis.size)
+        # a boxed window's H is brute's whole-sector H restricted to the window
+        Hb, states = brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)
+        where = [brute.position(basis, nu, ne) for nu, ne in states]
+        inside = [i for i, w in enumerate(where) if w >= 0]
+        dense = np.zeros((basis.size, basis.size))
+        pos = [where[i] for i in inside]
+        dense[np.ix_(pos, pos)] = Hb[np.ix_(inside, inside)]
+        e0 = np.linalg.eigvalsh(dense)[0]
+        sigma = e0 + offset
+        assume(abs(offset) > 1e-6 * max(1.0, abs(e0)))  # not at E0 within rounding
+        H = build_hamiltonian(p, basis).matrix
+        factored = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "SCHUR_CUTOFF", 0)
+            dpbtrf = solver.dpbtrf
+
+            def recording(band, **kwargs):
+                factored.append(band.copy())
+                return dpbtrf(band, **kwargs)
+
+            mp.setattr(solver, "dpbtrf", recording)
+            try:
+                vals, _, _ = solver._verified_shift_invert(H, basis, sigma,
+                                                           solver._fixed_start(basis.size))
+            except RuntimeError as exc:
+                assert str(exc).startswith(f"shift {sigma:.6g} is not below the spectrum")
+                proven = False
+            else:
+                assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
+                proven = True
+        # the factorization succeeds exactly when every eigenvalue lies above sigma
+        assert proven == (sigma < e0)
+        # the odd-nu states' band is factored once D_E - sigma is proven positive
+        shifted = dense - sigma * np.eye(basis.size)
+        assert len(factored) == (np.diagonal(shifted)[even].min() > 0.0)
+        if factored:
+            schur = _dense_schur(shifted, basis)
+            band = factored[0]
+            m = schur.shape[0]
+            assert band.shape[1] == m and np.all(np.tril(schur, -band.shape[0]) == 0.0)
+            scale = 1e-14 * max(1.0, np.abs(schur).max())
+            for k in range(band.shape[0]):
+                assert np.allclose(band[k, :m - k], np.diagonal(schur, -k), rtol=0.0,
+                                   atol=scale)
+                assert np.all(band[k, m - k:] == 0.0)
+
+    # superradiant: S is indefinite; normal phase: a diagonal entry of D_E,
+    # the vacuum's, lies below sigma
+    @pytest.mark.parametrize("x", [1.5, 0.5])
+    def test_rejected_shift_names_the_minor_with_the_even_nu_states_first(self, monkeypatch,
+                                                                          x):
+        monkeypatch.setattr(solver, "SCHUR_CUTOFF", 0)
+        p = ModelParams.from_ratio(1.0, x, 20)
+        basis = build_sector_basis(p, truncation_seed(p)["lambda_seed"], "even")
+        op = build_hamiltonian(p, basis)
+        n = op.dimension
+        assert n > solver.DENSE_CUTOFF
+        _, e1, e2 = np.linalg.eigvalsh(op.toarray())[:3]
+        _shift_at(monkeypatch, 0.5 * (e1 + e2))
+        calls = _record_eigsh(monkeypatch)
+        with pytest.raises(ConvergenceError) as err:
+            lowest_eigenpairs(op)
+        sigma = err.value.diagnostics["shift"]
+        assert e1 < sigma < e2
+        shifted = op.toarray() - sigma * np.eye(n)
+        even = basis.nu % 2 == 0
+        assert (np.diagonal(shifted)[even].min() > 0.0) == (x > 1.0)
+        minor = _first_indefinite_minor(shifted, np.lexsort((basis.ne, basis.nu, ~even)))
+        assert (minor > even.sum()) == (x > 1.0)
+        assert err.value.diagnostics["reason"] == (
+            f"shift {sigma:.6g} is not below the spectrum: leading minor {minor} of {n}, "
+            f"even-nu states first, is not positive definite")
+        assert calls == []
+
+    @pytest.mark.parametrize("n_atoms,x,parity", [
+        (64, 2.0, "even"), (64, 1.3, "odd"), (100, 2.5, "odd"), (136, 2.3, "even"),
+        (300, 2.0, "even"), (300, 1.5, "odd")])
+    def test_same_energy_and_band_solves_as_the_band_path(self, monkeypatch, n_atoms, x,
+                                                          parity):
+        p = ModelParams.from_ratio(1.0, x, n_atoms)
+        monkeypatch.setattr(solver, "SCHUR_CUTOFF", 0)
+        res = converge_ground(p, parity, lambda_cap=2000)
+        assert res.path == "variational shift-invert" and res.schur
+        monkeypatch.setattr(solver, "SCHUR_CUTOFF", res.basis.size)
+        band = lowest_eigenpairs(build_hamiltonian(p, res.basis))
+        assert band.path == res.path and not band.schur
+        assert res.eigenvalues[0] == pytest.approx(band.eigenvalues[0], rel=1e-15, abs=0.0)
+        assert res.band_solves == band.band_solves
+        assert np.abs(res.eigenvectors - band.eigenvectors).max() <= 1e-12
 
 
 class TestSpinFloor:
@@ -724,6 +879,25 @@ class TestSpinFloor:
         floor = spin_floor(p)
         assert floor <= e0 + 1e-12 * max(1.0, abs(e0))
         assert _shift_below(floor) < e0
+
+    def test_bisected_once_per_sweep_point(self, monkeypatch, capsys):
+        # a spectrum point solves both sectors by shift-invert, from one floor:
+        # one bisection per chain
+        calls = []
+        dstebz = solver.dstebz
+
+        def counting(*args):
+            calls.append(args)
+            return dstebz(*args)
+
+        monkeypatch.setattr(solver, "dstebz", counting)
+        spin_floor.cache_clear()
+        solves = _record_solves(monkeypatch)
+        assert cli.main(["spectrum", "--n-atoms", "30", "--gamma", "1.0"]) == 0
+        capsys.readouterr()
+        assert [basis.parity for basis in solves] == ["even", "odd"]
+        assert all(basis.size > solver.DENSE_CUTOFF for basis in solves)
+        assert len(calls) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(n_atoms=st.integers(1, 300), omega_a=st.floats(0.25, 9.0))

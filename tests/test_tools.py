@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dickelab import solver
 from dickelab.dataset import Dataset
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -28,9 +29,11 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     monkeypatch.setattr(tool, "ATOMS", (10, 40))
     monkeypatch.setattr(tool, "RATIOS", (0.6, 2.5))
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ first
+    # a cutoff below the largest windows, so that some factor the Schur complement
+    monkeypatch.setattr(solver, "SCHUR_CUTOFF", 1000)
     assert tool.main(["--rise", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 + 4
+    assert len(lines) == 8 + 5
     assert lines[8] == ("sectors 8 at tol 1e-08: accepted 8, raised at the cap 0, "
                         "raised otherwise 0")
     assert [line.split()[:5] for line in lines[:8]] == [
@@ -47,6 +50,10 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     assert summary is not None, lines[11]
     solves, median, largest = int(summary[1]), float(summary[2]), float(summary[3])
     assert solves >= 6 and 0.0 < median <= largest
+    schur = sum(dim > 1000 for dim in dims)
+    assert 0 < schur < 6
+    assert lines[12] == (f"Schur complement factored in {schur} of 6 shift-invert sectors "
+                         f"(above 1000 states)")
 
 
 def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
@@ -63,6 +70,8 @@ def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
     assert lines[2] == ("sectors 2 at tol 1e-08: accepted 0, raised at the cap 2, "
                         "raised otherwise 0")
     assert lines[5] == "shift-invert sectors 0: band solves 0; E0 - sigma median 0, largest 0"
+    assert lines[6] == (f"Schur complement factored in 0 of 0 shift-invert sectors "
+                        f"(above {solver.SCHUR_CUTOFF} states)")
 
 
 def _joint_table(nu, ne, p, fmt):

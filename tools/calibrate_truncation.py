@@ -13,9 +13,10 @@ window is empty or fails the truncation test) and how many raise otherwise
 each window edge the largest estimate / (T |E|) over the accepted sectors
 (the truncation test accepts up to 1 / TRUNCATION_SAFETY); the sum of
 the accepted dimensions; and, over the accepted shift-invert sectors, the
-band solves ARPACK made in all and the median and largest distance E0 -
-sigma of the ground energy above the shift.  It exits 1 if any sector
-raises otherwise.
+band solves ARPACK made in all, the median and largest distance E0 -
+sigma of the ground energy above the shift, and how many of them factored
+the Schur complement of the odd-nu states (above solver.SCHUR_CUTOFF
+states).  It exits 1 if any sector raises otherwise.
 
 --widths and --margin replace solver.WINDOW_WIDTHS and WINDOW_MARGIN for the
 run, to pick them.  --rise also solves every accepted windowed sector without
@@ -59,7 +60,7 @@ def main(argv=None) -> int:
     counts = {"accepted": 0, "cap": 0, "error": 0}
     worst = dict.fromkeys(EDGES, 0.0)
     dim_sum, rise = 0, 0.0
-    band_solves, distances = 0, []
+    band_solves, distances, schur = 0, [], 0
     start = time.perf_counter()
     for omega_a in OMEGAS:
         for n_atoms in ATOMS:
@@ -80,6 +81,7 @@ def main(argv=None) -> int:
                     counts[verdict] += 1
                     dim_sum += res.basis.size
                     band_solves += res.band_solves
+                    schur += res.schur
                     if res.shift is not None:
                         distances.append(res.eigenvalues[0] - res.shift)
                     energy = abs(res.eigenvalues[0])
@@ -111,6 +113,8 @@ def main(argv=None) -> int:
     print(f"shift-invert sectors {len(distances)}: band solves {band_solves}; E0 - sigma "
           f"median {statistics.median(distances) if distances else 0.0:.3g}, largest "
           f"{max(distances, default=0.0):.3g}")
+    print(f"Schur complement factored in {schur} of {len(distances)} shift-invert sectors "
+          f"(above {solver.SCHUR_CUTOFF} states)")
     return 0 if counts["error"] == 0 else 1
 
 
