@@ -28,7 +28,7 @@ from .dataset import Dataset
 from .errors import ConvergenceError, DickeLabError, ProjectionAnnihilationError
 from .observables import ObservableSet, eigen_observables
 from .sas import coherent_observables, default_nu_max, sas_observables
-from .solver import DEFAULT_LAMBDA_CAP, converge_ground
+from .solver import converge_ground
 
 
 class UsageError(Exception):
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--parity", choices=["even", "odd", "both"], default="both")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="relative convergence tolerance (default 1e-8)")
-        sp.add_argument("--lambda-max-cap", type=int, default=DEFAULT_LAMBDA_CAP)
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
@@ -95,8 +94,6 @@ def _validate(args) -> None:
                          f"and distributions")
     if args.tol <= 0:
         raise UsageError("--tol must be > 0")
-    if args.lambda_max_cap < 2:
-        raise UsageError("--lambda-max-cap must be >= 2")
     has_range = any(v is not None for v in (args.gamma_min, args.gamma_max, args.steps))
     if args.gamma is not None and has_range:
         raise UsageError("use either --gamma or --gamma-min/--gamma-max/--steps")
@@ -128,13 +125,11 @@ def _base_meta(args) -> dict:
         "omega_a": args.omega_a,
         "n_atoms": args.n_atoms,
         "tol": args.tol,
-        "lambda_max_cap": args.lambda_max_cap,
     }
 
 
 def _cmd_spectrum(args) -> Dataset:
-    ds = spectrum_dataset(args.omega_a, args.n_atoms, _gammas(args),
-                          tol=args.tol, lambda_cap=args.lambda_max_cap)
+    ds = spectrum_dataset(args.omega_a, args.n_atoms, _gammas(args), tol=args.tol)
     ds.meta = {**_base_meta(args), **ds.meta}
     return ds
 
@@ -144,7 +139,7 @@ def _cmd_observables(args) -> Dataset:
 
     def point(params, parity):
         if args.source == "exact":
-            res = converge_ground(params, parity, tol=args.tol, lambda_cap=args.lambda_max_cap)
+            res = converge_ground(params, parity, tol=args.tol)
             return eigen_observables(res.eigenvectors[:, 0], res.basis), res.lambda_max
         if args.source == "sas":
             return sas_observables(params, parity), None
@@ -163,7 +158,7 @@ def _cmd_observables(args) -> Dataset:
 
 def _cmd_fidelity(args) -> Dataset:
     rows = fidelity_scan(args.omega_a, args.n_atoms, _gammas(args), _parities(args),
-                         tol=args.tol, lambda_cap=args.lambda_max_cap)
+                         tol=args.tol)
     return Dataset(_base_meta(args), ["gamma", "parity", "fidelity", "lambda_max", "flag"], rows)
 
 
@@ -186,14 +181,14 @@ def _cmd_figures(args) -> Dataset:
     if args.gamma is not None or args.gamma_min is not None:
         gammas = _gammas(args)
     ds = figure_data(args.figure_id, omega_a=args.omega_a, n_atoms=args.n_atoms,
-                     gammas=gammas, tol=args.tol, lambda_cap=args.lambda_max_cap)
+                     gammas=gammas, tol=args.tol)
     ds.meta = {"command": "figures", "version": __version__, **ds.meta}
     return ds
 
 
 def _cmd_verify(args) -> Dataset:
     def point(params, parity):  # one report covers both parities
-        return verify_table(params, tol=args.tol, lambda_cap=args.lambda_max_cap)
+        return verify_table(params, tol=args.tol)
 
     rows = []
     for _, _, report, _ in sweep(args.omega_a, args.n_atoms, _gammas(args), ["both"], point):

@@ -28,7 +28,6 @@ from .sas import (
     table_closed_forms_sas,
 )
 from .solver import (  # the trial states live with the solver they seed
-    DEFAULT_LAMBDA_CAP,
     SpectralResult,
     converge_ground,
     variational_energy,
@@ -100,32 +99,30 @@ class FidelityCurve:
     flags: list = field(default_factory=list)
 
 
-def _fidelity_point(params: ModelParams, parity: str, tol: float,
-                    lambda_cap: int) -> tuple:
-    exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+def _fidelity_point(params: ModelParams, parity: str, tol: float) -> tuple:
+    exact = converge_ground(params, parity, tol=tol)
     try:
         return fidelity(exact), exact.lambda_max, ""
     except ProjectionAnnihilationError:
         return None, exact.lambda_max, "annihilated"
 
 
-def fidelity_scan(omega_a: float, n_atoms: int, gammas, parities, tol: float = 1e-8,
-                  lambda_cap: int = DEFAULT_LAMBDA_CAP) -> list[tuple]:
+def fidelity_scan(omega_a: float, n_atoms: int, gammas, parities,
+                  tol: float = 1e-8) -> list[tuple]:
     """(gamma, parity, fidelity, lambda_max, flag) per point.  The fidelity is
     None where the odd trial state is annihilated, and both values are None
     where the exact solve does not converge (flag "ConvergenceError")."""
-    point = functools.partial(_fidelity_point, tol=tol, lambda_cap=lambda_cap)
+    point = functools.partial(_fidelity_point, tol=tol)
     return [(params.gamma, parity, *(value or (None, None, flag)))
             for params, parity, value, flag
             in sweep(omega_a, n_atoms, gammas, parities, point, (ConvergenceError,))]
 
 
 def fidelity_curve(omega_a: float, n_atoms: int, parity: str,
-                   gammas, tol: float = 1e-8,
-                   lambda_cap: int = DEFAULT_LAMBDA_CAP) -> FidelityCurve:
+                   gammas, tol: float = 1e-8) -> FidelityCurve:
     """fidelity_scan of one parity, with nan at the flagged points."""
     gammas = np.asarray(list(gammas), dtype=float)
-    rows = fidelity_scan(omega_a, n_atoms, gammas, [parity], tol, lambda_cap)
+    rows = fidelity_scan(omega_a, n_atoms, gammas, [parity], tol)
     values = np.array([math.nan if r[2] is None else r[2] for r in rows], dtype=float)
     lams = np.array([math.nan if r[3] is None else r[3] for r in rows], dtype=float)
     return FidelityCurve(parity, omega_a, n_atoms, gammas, values, lams, [r[4] for r in rows])
@@ -168,8 +165,7 @@ class VerificationReport:
         return [r for r in self.rows if r.flag_closed_form]
 
 
-def verify_table(params: ModelParams, tol: float = 1e-8,
-                 lambda_cap: int = DEFAULT_LAMBDA_CAP) -> VerificationReport:
+def verify_table(params: ModelParams, tol: float = 1e-8) -> VerificationReport:
     """Three-way check of every tabulated row, per parity: the closed-form
     entry against the constructed-state oracle (flag above CLOSED_FORM_TOL)
     and the oracle against exact diagonalization (flag above PHYSICS_TOL,
@@ -180,7 +176,7 @@ def verify_table(params: ModelParams, tol: float = 1e-8,
     for parity in ("even", "odd"):
         closed_form = table_closed_forms_sas(params, parity)
         oracle = state_observables(build_sas_state(params, parity))
-        exact_res = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+        exact_res = converge_ground(params, parity, tol=tol)
         exact = eigen_observables(exact_res.eigenvectors[:, 0], exact_res.basis)
         for name in TABLE_ROW_NAMES:
             o = getattr(oracle, name)
@@ -313,17 +309,16 @@ def _gradient_columns(params: ModelParams) -> tuple[float, float, float, float]:
 
 
 def figure_data(figure_id: int, omega_a: float = 1.0, n_atoms: int | None = None,
-                gammas=None, tol: float = 1e-8,
-                lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
+                gammas=None, tol: float = 1e-8) -> Dataset:
     """Plot-ready rows reproducing one of the nine reference figures."""
     if figure_id not in FIGURE_TITLES:
         raise ValueError(f"unknown figure id {figure_id}; valid ids are 1..9")
     meta = {"figure": figure_id, "title": FIGURE_TITLES[figure_id], "omega_a": omega_a}
     builder = _FIGURE_BUILDERS[figure_id]
-    return builder(meta, omega_a, n_atoms, gammas, tol, lambda_cap)
+    return builder(meta, omega_a, n_atoms, gammas, tol)
 
 
-def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_gradients(meta, omega_a, n_atoms, gammas, tol):
     n = n_atoms or 20
     gc = gamma_critical(omega_a)
     if gammas is None:
@@ -338,7 +333,7 @@ def _fig_gradients(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
                           "dE_dq_odd", "dE_dtheta_odd"], rows)
 
 
-def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol):
     ns = [n_atoms] if n_atoms else [20, 50, 100]
     gc = gamma_critical(omega_a)
     if gammas is None:
@@ -358,12 +353,11 @@ def _fig_gradient_scaling(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     return Dataset(meta, columns, rows)
 
 
-def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8,
-                     lambda_cap: int = DEFAULT_LAMBDA_CAP) -> Dataset:
+def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8) -> Dataset:
     """Exact and variational energies of both sectors along a coupling grid."""
 
     def point(params, parity):
-        exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+        exact = converge_ground(params, parity, tol=tol)
         return float(exact.eigenvalues[0]), variational_energy(params, parity)
 
     scan = sweep(omega_a, n_atoms, np.asarray(list(gammas), dtype=float), ("even", "odd"), point)
@@ -373,16 +367,16 @@ def spectrum_dataset(omega_a: float, n_atoms: int, gammas, tol: float = 1e-8,
                           "E_sas_even", "E_sas_odd"], rows)
 
 
-def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_spectrum(meta, omega_a, n_atoms, gammas, tol):
     n = n_atoms or 20
     if gammas is None:
         gammas = np.arange(0.0, 1.2000001, 0.02)
-    ds = spectrum_dataset(omega_a, n, gammas, tol=tol, lambda_cap=lambda_cap)
+    ds = spectrum_dataset(omega_a, n, gammas, tol=tol)
     ds.meta = {**meta, **ds.meta}
     return ds
 
 
-def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_f_function(meta, omega_a, n_atoms, gammas, tol):
     ns = [n_atoms] if n_atoms else [2, 10, 20, 100]
     xs = np.arange(1.0, 3.0000001, 0.01) if gammas is None else np.asarray(gammas)
     meta.update({"n_atoms": ns})
@@ -395,7 +389,7 @@ def _fig_f_function(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     return Dataset(meta, ["x"] + [f"F_N{n}" for n in ns], rows)
 
 
-def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, name):
+def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, name):
     n = n_atoms or 10
     gc = gamma_critical(omega_a)
     if gammas is None:
@@ -403,7 +397,7 @@ def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, name):
     meta.update({"n_atoms": n, "observable": name})
 
     def point(params, parity):
-        exact = converge_ground(params, parity, tol=tol, lambda_cap=lambda_cap)
+        exact = converge_ground(params, parity, tol=tol)
         value = getattr(eigen_observables(exact.eigenvectors[:, 0], exact.basis), name)
         if abs(params.gamma) < gc:
             return value, None
@@ -421,7 +415,7 @@ def _fluctuation_dataset(meta, omega_a, n_atoms, gammas, tol, lambda_cap, name):
                           "exact_odd", "coherent", "flag"], rows)
 
 
-def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_joint(meta, omega_a, n_atoms, gammas, tol):
     n = n_atoms or 10
     gamma = 0.55 if gammas is None else float(np.asarray(gammas).ravel()[0])
     p = ModelParams(omega_a, gamma, n)
@@ -431,7 +425,7 @@ def _fig_joint(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     return Dataset(meta, ["nu", "n_e", "p_even", "p_odd"], [(nu, ne, p_even, p_odd)])
 
 
-def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol):
     ns = [n_atoms] if n_atoms else [10, 20, 40, 50]
     if gammas is None:
         gammas = np.arange(0.05, 1.2000001, 0.025)
@@ -440,14 +434,14 @@ def _fig_fidelity(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
     columns = ["gamma"] + [f"fid_{parity}_N{n}" for n in ns for parity in ("even", "odd")]
     series = []  # per N, the (even, odd) fidelities of each gamma
     for n in ns:
-        scan = fidelity_scan(omega_a, n, gammas, ("even", "odd"), tol, lambda_cap)
+        scan = fidelity_scan(omega_a, n, gammas, ("even", "odd"), tol)
         series.append([(even[2], odd[2]) for even, odd in zip(scan[0::2], scan[1::2])])
     rows = [(gamma, *(f for pair in pairs for f in pair))
             for gamma, *pairs in zip(gammas, *series)]
     return Dataset(meta, columns, rows)
 
 
-def _fig_marginals(meta, omega_a, n_atoms, gammas, tol, lambda_cap):
+def _fig_marginals(meta, omega_a, n_atoms, gammas, tol):
     n = n_atoms or 10
     gamma_list = [0.55, 1.0] if gammas is None else [float(g) for g in gammas]
     meta.update({"n_atoms": n, "gammas": gamma_list})

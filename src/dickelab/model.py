@@ -73,6 +73,19 @@ class ModelParams:
         return cls(omega_a, x * gamma_critical(omega_a), n_atoms)
 
 
+def window_columns(lambda_max: int, parity: str, nu_lo: int, ne_lo: int,
+                   ne_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, counts) per column nu = 0..lambda_max of the window: column nu
+    holds n_e = first[nu], first[nu] + 2, ... , counts[nu] states in all,
+    none below nu_lo.  The parity and that of nu fix the first n_e at or
+    above ne_lo; the last is at most min(ne_hi, lambda_max - nu)."""
+    nus = np.arange(lambda_max + 1)
+    first = ne_lo + (nus + ne_lo + (parity == "odd")) % 2
+    counts = np.maximum((np.minimum(ne_hi, lambda_max - nus) - first) // 2 + 1, 0)
+    counts[:nu_lo] = 0
+    return first, counts
+
+
 class SectorBasis:
     """Ordered basis of a parity sector in the window lambda <= lambda_max,
     nu >= nu_lo, ne_lo <= n_e <= ne_hi.
@@ -80,9 +93,7 @@ class SectorBasis:
     States are ordered nu-major, by ascending nu and then ascending n_e,
     which makes eigenvectors reproducible across runs and H banded, since H
     couples each nu column only to its two neighbours.  Column nu starts at
-    ``offsets[nu]`` (the columns below nu_lo are empty) and holds
-    n_e = first, first + 2, ... up to min(ne_hi, lambda_max - nu), where the
-    parity and that of nu fix the first n_e at or above ne_lo.  The default
+    ``offsets[nu]`` and holds the states window_columns counts there.  The default
     window, nu_lo = ne_lo = 0 and ne_hi = N, is the whole truncated sector.
     ``parity`` is "even" or "odd".
     """
@@ -96,13 +107,11 @@ class SectorBasis:
         self.parity = parity
         self.nu_lo, self.ne_lo = int(nu_lo), int(ne_lo)
         self.ne_hi = params.n_atoms if ne_hi is None else int(ne_hi)
-        nus = np.arange(lambda_max + 1)
-        first = ne_lo + (nus + ne_lo + (parity == "odd")) % 2
-        counts = np.maximum((np.minimum(self.ne_hi, lambda_max - nus) - first) // 2 + 1, 0)
-        counts[:nu_lo] = 0
+        first, counts = window_columns(self.lambda_max, parity, self.nu_lo, self.ne_lo,
+                                       self.ne_hi)
         self.offsets = np.zeros(lambda_max + 2, dtype=np.int64)
         np.cumsum(counts, out=self.offsets[1:])
-        self.nu = np.repeat(nus, counts)
+        self.nu = np.repeat(np.arange(lambda_max + 1), counts)
         self.ne = (np.repeat(first - 2 * self.offsets[:-1], counts)
                    + 2 * np.arange(self.offsets[-1]))
         self.lam = self.nu + self.ne
@@ -163,9 +172,7 @@ class Stencil:
         self.nnz = diag.size + 2 * val.size
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H x for a vector, column by column for a block."""
-        if x.ndim == 2:
-            return np.stack([self @ col for col in x.T], axis=1)
+        """H x for a vector."""
         n = self.diag.size
         return (self.diag * x + np.bincount(self.tgt, self.val * x[self.src], n)
                 + np.bincount(self.src, self.val * x[self.tgt], n))

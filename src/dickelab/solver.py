@@ -27,10 +27,11 @@ ConvergenceError; nothing is retried.
 converge_ground solves one window: truncation_seed's, drawn from the
 closed-form mean and width of the excitation number and, in the
 superradiant phase, boxed in around the closed-form photon and atom
-numbers, with a reach that grows with the tolerance below 1e-8.  It accepts
-that window when the energy the states on its edges leak across them, to
-second order, is far below the tolerance, and raises ConvergenceError
-otherwise.
+numbers, with a reach that grows with the tolerance below 1e-8.  It solves
+no window whose factored band, counted from the window's columns before any
+state is enumerated, exceeds BAND_BUDGET.  It accepts the window when the
+energy the states on its edges leak across them, to second order, is far
+below the tolerance, and raises ConvergenceError otherwise.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz
 
 from .errors import ConvergenceError, ProjectionAnnihilationError
 from .model import (ModelParams, OperatorMatrix, SectorBasis, Stencil, _spin_minus_amp,
-                    _spin_plus_amp, build_hamiltonian, build_sector_basis)
+                    _spin_plus_amp, build_hamiltonian, build_sector_basis, window_columns)
 from .sas import sas_coefficients_at
 from .surface import (atom_statistics, lambda_statistics, minimum_energy, normal_odd_state,
                       photon_statistics, sas_energy_at_critical)
@@ -64,8 +65,10 @@ DENSE_CUTOFF = 120
 # of 35 at 3000-3499 and in every sector from 4000 (6.08 against 5.10 ms at
 # 5500-5999)
 SCHUR_CUTOFF = 3000
+# the bytes of the band dpbtrf may factor (512 MiB): converge_ground counts
+# them from the window's columns and solves no window above it
+BAND_BUDGET = 2 ** 29
 RESIDUAL_TOL = 1e-8
-DEFAULT_LAMBDA_CAP = 400
 # the truncation estimate times this must stay below tol |E|
 TRUNCATION_SAFETY = 10.0
 # a superradiant sector's box edges lie WINDOW_WIDTHS widths plus WINDOW_MARGIN
@@ -284,12 +287,19 @@ def _schur_band(H: Stencil, basis: SectorBasis, sigma: float, even: np.ndarray,
     return band, val, pos
 
 
+def _schur(n: int) -> bool:
+    """Whether _factor factors the Schur complement of an n-state window's
+    odd-nu states rather than the band of H - sigma I."""
+    return n > SCHUR_CUTOFF
+
+
 def _factor(H: Stencil, basis: SectorBasis, sigma: float):
     """The band Cholesky factorization that proves sigma below the spectrum,
-    as the solve b -> (H - sigma I)^-1 b; RuntimeError naming the first
-    leading minor of H - sigma I that is not positive definite otherwise.
+    as the solve b -> (H - sigma I)^-1 b, and whether the band it factored
+    is the Schur complement's; RuntimeError naming the first leading minor
+    of H - sigma I that is not positive definite otherwise.
 
-    Up to SCHUR_CUTOFF states the band is that of H - sigma I, and the
+    Up to SCHUR_CUTOFF states (_schur) the band is that of H - sigma I, and the
     minor counts in the basis' order.  Above it the band is the Schur
     complement S of the odd-nu states (_schur_band), and the minor counts
     with the even-nu states first: H - sigma I is positive definite exactly
@@ -303,11 +313,11 @@ def _factor(H: Stencil, basis: SectorBasis, sigma: float):
         return RuntimeError(f"shift {sigma:.6g} is not below the spectrum: leading minor "
                             f"{minor} of {n}{order} is not positive definite")
 
-    if n <= SCHUR_CUTOFF:
+    if not _schur(n):
         chol, info = dpbtrf(_lower_band(H, sigma), lower=1, overwrite_ab=1)
         if info > 0:
             raise rejected(info)
-        return lambda b: dpbtrs(chol, b, lower=1)[0]
+        return (lambda b: dpbtrs(chol, b, lower=1)[0]), False
     even = (basis.nu & 1) == 0
     gap = H.diag[even] - sigma
     short = np.flatnonzero(gap <= 0.0)
@@ -328,15 +338,15 @@ def _factor(H: Stencil, basis: SectorBasis, sigma: float):
         x[even] = u - inv * np.bincount(pos.ravel(), (val * y).ravel(), inv.size)
         return x
 
-    return solve
+    return solve, True
 
 
 def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float, v0: np.ndarray):
     """Shift-invert ARPACK at sigma from v0, after _factor proves sigma below
-    every eigenvalue: the eigenvalue, the eigenvector and the number of band
-    solves ARPACK made."""
+    every eigenvalue: the eigenvalue, the eigenvector, the number of band
+    solves ARPACK made and whether _factor factored the Schur complement."""
     n = H.shape[0]
-    factored = _factor(H, basis, sigma)
+    factored, schur = _factor(H, basis, sigma)
     solves = 0
 
     def band_solve(b):
@@ -352,7 +362,7 @@ def _verified_shift_invert(H: Stencil, basis: SectorBasis, sigma: float, v0: np.
     tol = RESIDUAL_TOL / (np.abs(H.diag - sigma) + H.radii()).max()
     vals, vecs = spla.eigsh(H, k=1, sigma=sigma, which="LM", OPinv=opinv, v0=v0,
                             ncv=min(n, 6), tol=tol)
-    return vals, vecs, solves
+    return vals, vecs, solves, schur
 
 
 def _trial_state(basis: SectorBasis) -> np.ndarray | None:
@@ -392,7 +402,7 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
     dim = op.dimension
     H = op.matrix
     residuals = trial = sigma = None
-    solves = 0
+    solves, schur = 0, False
     if dim <= DENSE_CUTOFF:
         path = "dense"
     else:
@@ -404,14 +414,15 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
         else:
             floor = spin_floor(op.basis.params)
             sigma = floor - SHIFT_GUARD * max(1.0, abs(floor))
-            vals, vecs, solves = _verified_shift_invert(
+            vals, vecs, solves, schur = _verified_shift_invert(
                 H, op.basis, sigma, _fixed_start(dim) if trial is None else trial)
     except (RuntimeError, ValueError) as exc:  # LAPACK, ARPACK, rejected shift
         reason = str(exc)
     else:
         if vecs[np.argmax(np.abs(vecs[:, 0])), 0] < 0:  # largest coefficient positive
             vecs = -vecs
-        residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+        psi = vecs[:, 0]
+        residuals = np.linalg.norm(H @ psi - psi * vals[0], axis=0, keepdims=True)
         # the window's ground energy lies at or below the trial state's Rayleigh
         # quotient, and some eigenvalue within the residual of vals[0]; 1e-12
         # relative covers the rounding of the quotient
@@ -435,7 +446,7 @@ def lowest_eigenpairs(op: OperatorMatrix) -> SpectralResult:
                 trial=trial,
                 shift=sigma,
                 band_solves=solves,
-                schur=path != "dense" and dim > SCHUR_CUTOFF,
+                schur=schur,
             )
     raise ConvergenceError(
         f"{path} failed at dimension {dim}: {reason}",
@@ -462,8 +473,8 @@ def truncation_seed(params: ModelParams, tol: float = 1e-8) -> dict:
     one window settles the tighter tolerance too; at and above 1e-8 the
     window does not depend on tol.  Calibrated with
     tools/calibrate_truncation.py on omega_a in {0.25, 1, 4, 9}, N 10-140 and
-    x 0.3-2.5: every sector ground state below the default cap is accepted
-    in this window at tol 1e-8, 1e-10 and 1e-12.
+    x 0.3-2.5: every sector ground state is accepted in this window at tol
+    1e-8, 1e-10 and 1e-12.
     """
     scale = max(1.0, math.log(tol) / math.log(1e-8))
     mean, width = lambda_statistics(params)
@@ -560,30 +571,55 @@ def edge_leaks(params: ModelParams, basis: SectorBasis, energy: float,
     return leaks
 
 
-def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
-                    lambda_cap: int = DEFAULT_LAMBDA_CAP) -> SpectralResult:
+def band_bytes(lambda_max: int, parity: str, nu_lo: int, ne_lo: int,
+               ne_hi: int) -> tuple[int, int]:
+    """The states of a window and the bytes of the band _factor hands dpbtrf
+    there, counted from window_columns before any state is enumerated.
+
+    (nu, n_e) couples to (nu + 1, n_e -+ 1), at most counts[nu] + (1 +
+    first[nu] - first[nu + 1]) / 2 states on; in the Schur complement of the
+    odd-nu states its furthest entry, (nu + 2, n_e + 2), lies counts[nu] + 1
+    odd-nu states on.  So the count is never below the band, and at most
+    one band row above it where gamma != 0 (at gamma = 0 the band of
+    H - sigma I is the diagonal alone).
+    """
+    first, counts = window_columns(lambda_max, parity, nu_lo, ne_lo, ne_hi)
+    n = int(counts.sum())
+    if not _schur(n):
+        reach = counts[:-1] + (1 + first[:-1] - first[1:]) // 2
+        width = reach[(counts[:-1] > 0) & (counts[1:] > 0)].max(initial=0)
+        return n, 8 * n * (int(width) + 1)
+    odd = counts[1::2]
+    width = (odd[:-1] + 1)[(odd[:-1] > 0) & (odd[1:] > 0)].max(initial=1)
+    return n, 8 * int(odd.sum()) * (int(width) + 1)
+
+
+def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8) -> SpectralResult:
     """The ground state of a sector, converged in truncation by one solve.
 
-    The window is truncation_seed's at ``tol``, with lambda_max lowered to
-    ``lambda_cap`` when above it.  The solve is accepted when
-    TRUNCATION_SAFETY times its truncation estimate is at most ``tol`` |E|;
-    otherwise ConvergenceError carries it as ``best``, with its diagnostics.
-    An empty window (a box that starts above the cap) is not solved: the
-    ConvergenceError's best is None, and the message and
-    ``diagnostics["reason"]`` say so, with ``dim`` 0.
+    The window is truncation_seed's at ``tol``.  Before any state of it is
+    enumerated, band_bytes counts the band its factorization takes; above
+    BAND_BUDGET the window is not solved, and ConvergenceError carries best
+    None and diagnostics ``dim``, ``band_bytes``, ``budget`` and the seed
+    record.  The solve is accepted when TRUNCATION_SAFETY times its
+    truncation estimate is at most ``tol`` |E|; otherwise ConvergenceError
+    carries it as ``best``, with its diagnostics.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0 (tol={tol} is unreachable)")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     seed = truncation_seed(params, tol)
-    basis = build_sector_basis(params, min(seed["lambda_seed"], lambda_cap), parity,
-                               seed["nu_lo"], seed["ne_lo"], seed["ne_hi"])
-    if basis.size == 0:
-        reason = (f"window is empty below lambda_max cap {lambda_cap} "
-                  f"(nu_lo {seed['nu_lo']}, ne_lo {seed['ne_lo']})")
+    window = (seed["lambda_seed"], parity, seed["nu_lo"], seed["ne_lo"], seed["ne_hi"])
+    dim, nbytes = band_bytes(*window)
+    if nbytes > BAND_BUDGET:
+        reason = (f"the window of {dim} states takes a {nbytes / 2 ** 20:.0f} MiB band, "
+                  f"above the band budget of {BAND_BUDGET / 2 ** 20:.0f} MiB")
         raise ConvergenceError(f"ground state not solved: {reason}", best=None,
-                               diagnostics={**seed, "dim": 0, "reason": reason, "tol": tol})
+                               diagnostics={**seed, "dim": dim, "band_bytes": nbytes,
+                                            "budget": BAND_BUDGET, "reason": reason,
+                                            "tol": tol})
+    basis = build_sector_basis(params, *window)
     try:
         res = lowest_eigenpairs(build_hamiltonian(params, basis))
     except ConvergenceError as exc:
@@ -596,8 +632,7 @@ def converge_ground(params: ModelParams, parity: str, tol: float = 1e-8,
     if TRUNCATION_SAFETY * res.truncation_estimate <= tol * abs(energy):
         return res
     raise ConvergenceError(
-        f"ground state not converged at lambda_max {basis.lambda_max} "
-        f"(lambda_max cap {lambda_cap})",
+        f"ground state not converged at lambda_max {basis.lambda_max}",
         best=res,
         diagnostics={**res.diagnostics(), "tol": tol},
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dickelab import ModelParams, __version__, default_nu_max, joint_distribution_sas
 from dickelab.cli import _build_parser, main
 from dickelab.dataset import Dataset
+from dickelab.solver import truncation_seed
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,11 @@ def _table(out):
 
 
 class TestLambdaMaxCap:
+    """An exact point whose window's band exceeds solver.BAND_BUDGET is not
+    solved: a command that needs it exits 1, a scan flags it and keeps its
+    other rows.  The budget is lowered below the gamma = 1 windows here (the
+    class once passed a --lambda-max-cap below them)."""
+
     @pytest.mark.parametrize("argv", [
         ("spectrum",),
         ("verify",),
@@ -104,40 +110,41 @@ class TestLambdaMaxCap:
         ("figures", "--id", "5"),
         ("figures", "--id", "6"),
     ])
-    def test_cap_below_seed_fails(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv, "--n-atoms", "10", "--gamma", "1",
-                               "--lambda-max-cap", "4")
+    def test_cap_below_seed_fails(self, capsys, budget_below, argv):
+        budget = budget_below(ModelParams(1.0, 1.0, 10))
+        code, _, err = run_cli(capsys, *argv, "--n-atoms", "10", "--gamma", "1")
         assert code == 1
-        assert "lambda_max cap 4" in err
+        assert f"above the band budget of {budget / 2 ** 20:.0f} MiB" in err
 
-    def test_fidelity_flags_the_capped_point(self, capsys):
+    def test_fidelity_flags_the_capped_point(self, capsys, budget_below):
+        budget_below(ModelParams(1.0, 1.0, 10), ["even"])
         code, out, _ = run_cli(capsys, "fidelity", "--n-atoms", "10", "--gamma-min", "0.2",
-                               "--gamma-max", "1", "--steps", "2", "--parity", "even",
-                               "--lambda-max-cap", "30")
+                               "--gamma-max", "1", "--steps", "2", "--parity", "even")
         assert code == 0
         low, high = _table(out)
         assert float(low["fidelity"]) > 0.9 and low["flag"] == ""
-        assert int(low["lambda_max"]) <= 30
+        assert int(low["lambda_max"]) == truncation_seed(ModelParams(1.0, 0.2, 10))["lambda_seed"]
         assert high["fidelity"] == "" and high["lambda_max"] == ""
         assert high["flag"] == "ConvergenceError"
 
-    def test_figure_8_null_at_capped_point(self, capsys):
+    def test_figure_8_null_at_capped_point(self, capsys, budget_below):
+        budget_below(ModelParams(1.0, 1.0, 10))
         code, out, _ = run_cli(capsys, "figures", "--id", "8", "--n-atoms", "10",
-                               "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "2",
-                               "--lambda-max-cap", "30")
+                               "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "2")
         assert code == 0
         low, high = _table(out)
         assert float(low["fid_even_N10"]) > 0.9
         assert high["fid_even_N10"] == "" and high["fid_odd_N10"] == ""
 
-    def test_exact_observables_keep_good_rows(self, capsys):
-        # gamma = 1 does not converge below the default cap of 400 at N = 250
+    def test_exact_observables_keep_good_rows(self, capsys, budget_below):
+        budget_below(ModelParams(1.0, 1.0, 250), ["even"])
         code, out, _ = run_cli(capsys, "observables", "--source", "exact", "--n-atoms", "250",
                                "--gamma-min", "0.2", "--gamma-max", "1.0", "--steps", "2",
                                "--parity", "even")
         assert code == 0
         low, high = _table(out)
-        assert low["flag"] == "" and int(low["lambda_max"]) <= 400
+        assert low["flag"] == ""
+        assert int(low["lambda_max"]) == truncation_seed(ModelParams(1.0, 0.2, 250))["lambda_seed"]
         assert float(low["n_photons"]) > 0
         assert high["flag"] == "ConvergenceError"
         assert high["n_photons"] == "" and high["lambda_max"] == ""
@@ -301,18 +308,24 @@ class TestCommandsMatchFigures:
                 assert cells == [(float(r["gamma"]), r["k"], r[f"p_{parity}"])
                                  for r in fig if r["kind"] == kind]
 
-    @pytest.mark.parametrize("n,cap", [("6", "400"), ("10", "400"), ("10", "30")])
-    def test_figure_8_is_the_fidelity(self, capsys, n, cap):
-        grid = ("--n-atoms", n, "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "5",
-                "--lambda-max-cap", cap)
+    # the ids name the --lambda-max-cap these cases once passed; the budget
+    # now takes the place of the cap of 30 shells
+    @pytest.mark.parametrize("n,past_budget", [("6", False), ("10", False), ("10", True)],
+                             ids=["6-400", "10-400", "10-30"])
+    def test_figure_8_is_the_fidelity(self, capsys, budget_below, n, past_budget):
+        if past_budget:  # below both x = 2 windows only
+            budget_below(ModelParams(1.0, 1.0, int(n)))
+        grid = ("--n-atoms", n, "--gamma-min", "0.2", "--gamma-max", "1", "--steps", "5")
         _, fig, _ = run_cli(capsys, "figures", "--id", "8", *grid)
         _, fid, _ = run_cli(capsys, "fidelity", *grid)
         fig, fid = _table(fig), _table(fid)
         got = [(float(row["gamma"]), parity, row[f"fid_{parity}_N{n}"])
                for row in fig for parity in ("even", "odd")]
         assert got == [(float(r["gamma"]), r["parity"], r["fidelity"]) for r in fid]
-        if cap == "30":  # x = 2 does not converge below the cap: a null cell
-            assert got[-1] == (1.0, "odd", "") and fid[-1]["flag"] == "ConvergenceError"
+        if past_budget:  # x = 2 is not solved: null cells
+            assert got[-2:] == [(1.0, "even", ""), (1.0, "odd", "")]
+            assert fid[-1]["flag"] == "ConvergenceError"
+            assert all(cell for _, _, cell in got[:-2])
 
 
 class TestOutput:
@@ -396,13 +409,13 @@ CLI_CONTRACT = [
                  0, ["ValueError", ""], id="observables-sas-normal-phase"),
     pytest.param(("observables", "--source", "coherent", "--n-atoms", "6", "--gamma", "0.3"),
                  0, ["ValueError", "ValueError"], id="observables-coherent-normal-phase"),
-    pytest.param(("observables", "--source", "exact", "--n-atoms", "10", "--gamma", "1",
-                  "--lambda-max-cap", "30", "--parity", "even"),
+    # N = 10^6 at x = 2: the windows' bands are far above solver.BAND_BUDGET
+    pytest.param(("observables", "--source", "exact", "--n-atoms", "1000000", "--gamma", "1",
+                  "--parity", "even"),
                  0, ["ConvergenceError"], id="observables-exact-capped"),
-    # N = 200 at x = 2: the superradiant box starts at nu = 100, above the cap
-    pytest.param(("observables", "--source", "exact", "--n-atoms", "200", "--gamma", "1",
-                  "--lambda-max-cap", "50"),
-                 0, ["ConvergenceError", "ConvergenceError"], id="observables-exact-empty-window"),
+    pytest.param(("observables", "--source", "exact", "--n-atoms", "1000000", "--gamma", "1"),
+                 0, ["ConvergenceError", "ConvergenceError"],
+                 id="observables-exact-past-the-band-budget"),
     pytest.param(("distributions", "--kind", "joint", "--parity", "odd", "--n-atoms", "6",
                   "--gamma", "0.5"),
                  0, ["ProjectionAnnihilationError"], id="distributions-joint-odd-separatrix"),
@@ -417,8 +430,10 @@ CLI_CONTRACT = [
                  0, ["ValueError"], id="distributions-photon-normal-phase"),
     pytest.param(("fidelity", "--n-atoms", "6", "--gamma", "0.5", "--parity", "odd"),
                  0, ["annihilated"], id="fidelity-odd-separatrix"),
-    pytest.param(("fidelity", "--n-atoms", "10", "--gamma", "1", "--lambda-max-cap", "30"),
+    pytest.param(("fidelity", "--n-atoms", "1000000", "--gamma", "1"),
                  0, ["ConvergenceError", "ConvergenceError"], id="fidelity-capped"),
+    pytest.param(("spectrum", "--n-atoms", "1000000", "--gamma", "1"), 1, None,
+                 id="spectrum-past-the-band-budget"),
     pytest.param(("verify", "--n-atoms", "6", "--gamma", "0.3"), 1, None,
                  id="verify-normal-phase"),
     pytest.param(("spectrum", "--n-atoms", "0", "--gamma", "0.5"), 2, None,
@@ -431,6 +446,8 @@ CLI_CONTRACT = [
     pytest.param(("figures", "--id", "0"), 2, None, id="figures-id-0"),
     pytest.param(("fidelity", "--n-atoms", "4", "--gamma", "0.3", "--jobs", "2"), 2, None,
                  id="fidelity-jobs-flag"),
+    pytest.param(("spectrum", "--n-atoms", "4", "--gamma", "0.3", "--lambda-max-cap", "30"),
+                 2, None, id="spectrum-lambda-max-cap-flag"),
 ]
 
 

@@ -101,7 +101,7 @@ class TestFidelity:
         coefficients = solver.sas_coefficients_at
         monkeypatch.setattr(solver, "sas_coefficients_at",
                             lambda *args: built.append(args) or coefficients(*args))
-        compare._fidelity_point(p, parity, 1e-8, solver.DEFAULT_LAMBDA_CAP)
+        compare._fidelity_point(p, parity, 1e-8)
         assert len(built) == 1  # the start vector of the one solve
 
     def test_curve_with_flags(self):
@@ -112,12 +112,14 @@ class TestFidelity:
         assert np.all((curve.values[~np.isnan(curve.values)] >= 0)
                       & (curve.values[~np.isnan(curve.values)] <= 1 + 1e-12))
 
-    def test_curve_flags_convergence_failure(self):
-        # x = 2 needs lambda_max 52 at N = 10, above the cap
-        curve = fidelity_curve(1.0, 10, "even", [0.2, 1.0], lambda_cap=30)
+    def test_curve_flags_convergence_failure(self, budget_below):
+        # the budget lies below the x = 2 window's band
+        budget_below(ModelParams(1.0, 1.0, 10), ["even"])
+        curve = fidelity_curve(1.0, 10, "even", [0.2, 1.0])
         assert curve.flags == ["", "ConvergenceError"]
         assert curve.values[0] > 0.9 and math.isnan(curve.values[1])
-        assert curve.lambda_maxes[0] <= 30 and math.isnan(curve.lambda_maxes[1])
+        seed = solver.truncation_seed(ModelParams(1.0, 0.2, 10))["lambda_seed"]
+        assert curve.lambda_maxes[0] == seed and math.isnan(curve.lambda_maxes[1])
 
 
 class TestVariationalVector:

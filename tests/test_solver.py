@@ -36,6 +36,13 @@ def _seed_at(monkeypatch, lam):
                         lambda params, tol: {**seed(params, tol), "lambda_seed": lam})
 
 
+def _seed_band(params, parity):
+    """band_bytes of a sector's seed window at tol 1e-8: (states, bytes)."""
+    seed = truncation_seed(params)
+    return solver.band_bytes(seed["lambda_seed"], parity, seed["nu_lo"], seed["ne_lo"],
+                             seed["ne_hi"])
+
+
 def _record_solves(monkeypatch):
     """The bases of every lowest_eigenpairs call converge_ground makes from now on."""
     bases = []
@@ -213,7 +220,7 @@ class TestConvergeGround:
         _seed_at(monkeypatch, 10)
         bases = _record_solves(monkeypatch)
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", tol=1e-8, lambda_cap=16)
+            converge_ground(p, "even", tol=1e-8)
         assert err.value.best is not None
         assert err.value.best.eigenvalues.shape == (1,)
         assert bases == [err.value.best.basis]
@@ -528,7 +535,7 @@ class TestOneVerifiedSolve:
         p = ModelParams(1.0, 1.0, 20)
         _seed_at(monkeypatch, 50)
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", tol=1e-8, lambda_cap=52)
+            converge_ground(p, "even", tol=1e-8)
         diag = err.value.diagnostics
         assert diag["dim"] == err.value.best.basis.size > solver.DENSE_CUTOFF
         assert diag["path"] == "variational shift-invert"
@@ -536,64 +543,20 @@ class TestOneVerifiedSolve:
         assert diag["residuals"][0] <= RESIDUAL_TOL
         assert diag["lambda_max"] == err.value.best.lambda_max == 50
 
-    def test_seed_above_cap_solves_once_at_the_cap(self, monkeypatch):
-        p = ModelParams(1.0, 1.0, 10)
-        assert truncation_seed(p)["lambda_seed"] > 4
-        bases = _record_solves(monkeypatch)
-        with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", lambda_cap=4)
-        assert err.value.best is not None
-        assert err.value.diagnostics["lambda_max"] == 4
-        assert bases == [err.value.best.basis]
-
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_empty_window_is_not_solved(self, monkeypatch, parity):
-        # N = 200 at x = 2: the box starts at nu = 100, above a cap of 50
-        p = ModelParams.from_ratio(1.0, 2.0, 200)
-        assert truncation_seed(p)["nu_lo"] == 100
-        solved = []
-        monkeypatch.setattr(solver, "lowest_eigenpairs", solved.append)
-        with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, parity, lambda_cap=50)
-        assert err.value.best is None
-        assert solved == []
-        reason = "window is empty below lambda_max cap 50 (nu_lo 100, ne_lo 17)"
-        assert str(err.value) == f"ground state not solved: {reason}"
-        assert err.value.diagnostics["reason"] == reason
-        assert err.value.diagnostics["dim"] == 0
-
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_seed_above_default_cap_converges_at_the_cap(self, parity):
-        # N = 220, x = 2: the seed is 402, but the cap of 400 already suffices
-        p = ModelParams.from_ratio(1.0, 2.0, 220)
-        assert truncation_seed(p)["lambda_seed"] > solver.DEFAULT_LAMBDA_CAP
+    # N = 232 at x = 2 is where a 400-shell cap once ended the range; every
+    # point is solved in its seed window, up to lambda 1538 and 45.9k states
+    @pytest.mark.parametrize("n_atoms,x,parity", [
+        (n, x, parity) for n, x in [(232, 2.0), (500, 2.0), (1000, 0.5), (1000, 1.0),
+                                    (1000, 1.1), (1000, 1.3), (1000, 2.0)]
+        for parity in ("even", "odd")])
+    def test_contract_at_large_n(self, n_atoms, x, parity):
+        p = ModelParams.from_ratio(1.0, x, n_atoms)
         res = converge_ground(p, parity, tol=1e-8)
-        assert res.lambda_max == solver.DEFAULT_LAMBDA_CAP
-        assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
-
-    # the README's range: at x = 2 both parities converge at the default cap
-    # up to N = 231 (12k states in the window); at N = 232 the odd sector's
-    # top shell leaks too much
-    @pytest.mark.parametrize("n_atoms,parity", [(231, "even"), (231, "odd"), (232, "odd")])
-    def test_default_cap_range_at_x_2(self, n_atoms, parity):
-        p = ModelParams.from_ratio(1.0, 2.0, n_atoms)
-        cap = solver.DEFAULT_LAMBDA_CAP
-        assert truncation_seed(p)["lambda_seed"] > cap
-        if n_atoms == 231:
-            res = converge_ground(p, parity)
-            assert res.lambda_max == cap
-            assert res.path == "variational shift-invert"
-            assert res.eigenvalues[0] <= variational_energy(p, parity) + 1e-9
-            return
-        with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, parity)
-        diag = err.value.diagnostics
-        assert diag["dim"] == err.value.best.basis.size > 11000
-        assert diag["path"] == "variational shift-invert"
-        assert diag["residuals"][0] <= RESIDUAL_TOL
-        energy = abs(err.value.best.eigenvalues[0])
-        assert solver.TRUNCATION_SAFETY * diag["truncation_estimate"] > 1e-8 * energy
-        assert diag["lambda_max"] == cap
+        energy = res.eigenvalues[0]
+        assert res.lambda_max == truncation_seed(p)["lambda_seed"]
+        assert res.residuals[0] <= RESIDUAL_TOL
+        assert solver.TRUNCATION_SAFETY * res.truncation_estimate <= 1e-8 * abs(energy)
+        assert energy <= variational_energy(p, parity) + 1e-9
 
     def test_error_carries_the_window_edges(self, monkeypatch):
         # one solve below the seed, in the seed's box
@@ -603,7 +566,7 @@ class TestOneVerifiedSolve:
         assert 0 < edges["nu_lo"] and 0 < edges["ne_lo"] and edges["ne_hi"] < 200
         _seed_at(monkeypatch, 300)
         with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", lambda_cap=302)
+            converge_ground(p, "even")
         diag = err.value.diagnostics
         assert {key: diag[key] for key in edges} == edges
         assert diag["lambda_max"] == 300
@@ -618,9 +581,10 @@ class TestOneVerifiedSolve:
         seed = solver.truncation_seed(p)
         diag = converge_ground(p, "even").diagnostics()
         assert {key: diag[key] for key in seed} == seed
-        # from the cap ...
-        with pytest.raises(ConvergenceError) as err:
-            converge_ground(p, "even", lambda_cap=4)
+        # from the band budget ...
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(ConvergenceError) as err:
+            mp.setattr(solver, "BAND_BUDGET", 0)
+            converge_ground(p, "even")
         assert {key: err.value.diagnostics[key] for key in seed} == seed
         # ... and from a sector no eigensolver meets the residual tolerance in
         monkeypatch.setattr(solver.spla, "eigsh",
@@ -644,7 +608,7 @@ class TestWindow:
     def test_accepted_window_agrees_with_the_whole_space(self, omega_a, n_atoms, x, parity,
                                                         tol):
         p = ModelParams.from_ratio(omega_a, x, n_atoms)
-        res = converge_ground(p, parity, tol=tol, lambda_cap=5000)
+        res = converge_ground(p, parity, tol=tol)
         whole = _solve(p, res.lambda_max + 40, parity).eigenvalues[0]
         energy = res.eigenvalues[0]
         assert abs(energy - whole) <= tol * abs(whole)
@@ -718,9 +682,10 @@ class TestShiftProof:
         H = build_hamiltonian(p, basis).matrix
         e0, e1 = np.linalg.eigvalsh(
             brute.dense_hamiltonian(omega_a, gamma, n_atoms, lambda_max, parity)[0])[:2]
-        vals, _, _ = solver._verified_shift_invert(H, basis, e0 - below,
-                                                   solver._fixed_start(basis.size))
+        vals, _, _, schur = solver._verified_shift_invert(H, basis, e0 - below,
+                                                          solver._fixed_start(basis.size))
         assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
+        assert not schur  # below SCHUR_CUTOFF states
         if e1 - e0 > 1e-6:  # a shift inside a near-degenerate pair is below rounding
             sigma = e0 + between * (e1 - e0)
             with pytest.raises(RuntimeError, match=re.escape(f"shift {sigma:.6g} is not below")):
@@ -782,13 +747,14 @@ class TestSchurComplement:
 
             mp.setattr(solver, "dpbtrf", recording)
             try:
-                vals, _, _ = solver._verified_shift_invert(H, basis, sigma,
-                                                           solver._fixed_start(basis.size))
+                vals, _, _, schur = solver._verified_shift_invert(
+                    H, basis, sigma, solver._fixed_start(basis.size))
             except RuntimeError as exc:
                 assert str(exc).startswith(f"shift {sigma:.6g} is not below the spectrum")
                 proven = False
             else:
                 assert abs(vals[0] - e0) <= 1e-10 * max(1.0, abs(e0))
+                assert schur
                 proven = True
         # the factorization succeeds exactly when every eigenvalue lies above sigma
         assert proven == (sigma < e0)
@@ -841,7 +807,7 @@ class TestSchurComplement:
                                                           parity):
         p = ModelParams.from_ratio(1.0, x, n_atoms)
         monkeypatch.setattr(solver, "SCHUR_CUTOFF", 0)
-        res = converge_ground(p, parity, lambda_cap=2000)
+        res = converge_ground(p, parity)
         assert res.path == "variational shift-invert" and res.schur
         monkeypatch.setattr(solver, "SCHUR_CUTOFF", res.basis.size)
         band = lowest_eigenpairs(build_hamiltonian(p, res.basis))
@@ -849,6 +815,131 @@ class TestSchurComplement:
         assert res.eigenvalues[0] == pytest.approx(band.eigenvalues[0], rel=1e-15, abs=0.0)
         assert res.band_solves == band.band_solves
         assert np.abs(res.eigenvectors - band.eigenvectors).max() <= 1e-12
+
+
+class TestBandBudget:
+    """converge_ground refuses a window whose factored band, counted by
+    band_bytes from the window's columns alone, exceeds BAND_BUDGET."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n_atoms=st.integers(1, 12), lambda_max=st.integers(0, 24),
+           omega_a=st.floats(0.25, 9.0),
+           gamma=st.floats(-2.0, 2.0).filter(lambda g: abs(g) > 1e-3),
+           parity=st.sampled_from(["even", "odd"]),
+           box=st.one_of(st.none(), st.tuples(st.integers(0, 25), st.integers(0, 12),
+                                              st.integers(0, 12))),
+           schur=st.booleans())
+    def test_counts_the_band_handed_to_dpbtrf(self, n_atoms, lambda_max, omega_a, gamma,
+                                              parity, box, schur):
+        p = ModelParams(omega_a, gamma, n_atoms)
+        edges = (0, 0, n_atoms)
+        if box is not None:
+            edges = box[0], *sorted(min(e, n_atoms) for e in box[1:])
+        basis = build_sector_basis(p, lambda_max, parity, *edges)
+        even = basis.nu % 2 == 0
+        # the Schur path needs states of both nu parities, as every window above
+        # SCHUR_CUTOFF has
+        assume(basis.size > 0 and (not schur or 0 < even.sum() < basis.size))
+        H = build_hamiltonian(p, basis).matrix
+        factored = []
+        with pytest.MonkeyPatch.context() as mp:
+            if schur:
+                mp.setattr(solver, "SCHUR_CUTOFF", 0)
+            dpbtrf = solver.dpbtrf
+            mp.setattr(solver, "dpbtrf", lambda band, **kwargs: (factored.append(band.shape)
+                                                                 or dpbtrf(band, **kwargs)))
+            dim, counted = solver.band_bytes(lambda_max, parity, *edges)
+            # a Gershgorin shift lies below the spectrum, so the factorization runs
+            _, factored_schur = solver._factor(H, basis, (H.diag - H.radii()).min() - 1.0)
+        assert dim == basis.size and factored_schur == schur
+        (rows, cols), = factored
+        assert cols == (basis.size - even.sum() if schur else basis.size)
+        assert 8 * rows * cols <= counted <= 8 * (rows + 1) * cols
+
+    # the README's range at x = 2: the seed windows of both parities fit the
+    # budget up to N = 10975 (414k states), neither from N = 11041; in between
+    # a band row comes and goes with the parities of the box edges
+    def test_budget_range_at_x_2(self):
+        def window(n_atoms, parity):
+            return _seed_band(ModelParams.from_ratio(1.0, 2.0, n_atoms), parity)
+
+        fits = {(n, parity): window(n, parity)[1] <= solver.BAND_BUDGET
+                for n in range(10900, 11100) for parity in ("even", "odd")}
+        assert min(n for (n, _), ok in fits.items() if not ok) == 10976
+        assert max(n for (n, _), ok in fits.items() if ok) == 11040
+        dim = window(10975, "even")[0]
+        assert 414_000 < dim < 415_000 and solver._schur(dim)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_window_past_the_budget_is_not_solved(self, monkeypatch, parity):
+        # N = 10^6 at x = 2: 3.3e7 states, a band of 336 GiB
+        p = ModelParams.from_ratio(1.0, 2.0, 10 ** 6)
+        seed = truncation_seed(p)
+        built = []
+        monkeypatch.setattr(solver, "build_sector_basis", lambda *args: built.append(args))
+        with pytest.raises(ConvergenceError) as err:
+            converge_ground(p, parity)
+        assert err.value.best is None
+        assert built == []  # no state of the window is enumerated
+        diag = err.value.diagnostics
+        dim, counted = _seed_band(p, parity)
+        assert {key: diag[key] for key in seed} == seed
+        assert (diag["dim"], diag["band_bytes"], diag["budget"]) == (
+            dim, counted, solver.BAND_BUDGET)
+        assert dim > 3 * 10 ** 7 and counted > 600 * solver.BAND_BUDGET
+        reason = (f"the window of {dim} states takes a {counted / 2 ** 20:.0f} MiB band, "
+                  f"above the band budget of 512 MiB")
+        assert diag["reason"] == reason
+        assert str(err.value) == f"ground state not solved: {reason}"
+
+    def test_a_band_at_the_budget_is_solved(self, monkeypatch):
+        p = ModelParams.from_ratio(1.0, 2.0, 200)
+        _, counted = _seed_band(p, "even")
+        monkeypatch.setattr(solver, "BAND_BUDGET", counted)
+        res = converge_ground(p, "even")
+        assert res.lambda_max == truncation_seed(p)["lambda_seed"]
+        monkeypatch.setattr(solver, "BAND_BUDGET", counted - 1)
+        with pytest.raises(ConvergenceError, match="above the band budget"):
+            converge_ground(p, "even")
+
+
+class TestGroundProof:
+    """A shift-invert energy is the window's ground energy, by two clauses
+    checked against tests/brute.py's dense spectrum: it lies no further above
+    the trial state's Rayleigh quotient than its residual r, and the
+    Cholesky factorization at E0 - r - eps succeeds, so no eigenvalue lies
+    below that, while the same proof at an excited energy fails."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_atoms=st.integers(2, 12), lambda_max=st.integers(4, 24),
+           omega_a=st.floats(0.25, 9.0), x=st.floats(0.0, 2.5),
+           parity=st.sampled_from(["even", "odd"]), schur=st.booleans())
+    def test_rayleigh_bound_and_inertia_proof(self, n_atoms, lambda_max, omega_a, x, parity,
+                                              schur):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        basis = build_sector_basis(p, lambda_max, parity)
+        op = build_hamiltonian(p, basis)
+        spectrum = np.linalg.eigvalsh(
+            brute.dense_hamiltonian(omega_a, p.gamma, n_atoms, lambda_max, parity)[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "DENSE_CUTOFF", 0)  # shift-invert on small windows
+            if schur:
+                mp.setattr(solver, "SCHUR_CUTOFF", 0)
+            res = lowest_eigenpairs(op)
+            energy, r = res.eigenvalues[0], res.residuals[0]
+            assert res.path == "variational shift-invert" and res.schur == schur
+            if res.trial is not None:
+                t = res.trial
+                rayleigh = t @ (op.matrix @ t) / (t @ t)
+                assert energy - r <= rayleigh + 1e-12 * abs(rayleigh)
+                assert spectrum[0] <= rayleigh + 1e-12 * max(1.0, abs(rayleigh))
+            eps = 1e-8 * max(1.0, abs(energy))
+            solver._factor(op.matrix, basis, energy - r - eps)
+            assert spectrum[0] >= energy - r - eps
+            # the first excited energy, with the same residual, is refused
+            if spectrum[1] - spectrum[0] > 1e-6 * max(1.0, abs(energy)):
+                with pytest.raises(RuntimeError, match="is not below the spectrum"):
+                    solver._factor(op.matrix, basis, spectrum[1] - r - eps)
 
 
 class TestSpinFloor:

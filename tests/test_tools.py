@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dickelab import solver
+from dickelab import ModelParams, solver
 from dickelab.dataset import Dataset
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -33,9 +33,8 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     monkeypatch.setattr(solver, "SCHUR_CUTOFF", 1000)
     assert tool.main(["--rise", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 + 5
-    assert lines[8] == ("sectors 8 at tol 1e-08: accepted 8, raised at the cap 0, "
-                        "raised otherwise 0")
+    assert len(lines) == 8 + 6
+    assert lines[8] == "sectors 8 at tol 1e-08: accepted 8, raised 0"
     assert [line.split()[:5] for line in lines[:8]] == [
         ["1", str(n), x, parity, "accepted"]
         for n in (10, 40) for x in ("0.6", "2.5") for parity in ("even", "odd")]
@@ -54,24 +53,51 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     assert 0 < schur < 6
     assert lines[12] == (f"Schur complement factored in {schur} of 6 shift-invert sectors "
                          f"(above 1000 states)")
+    assert lines[13] == ("proven 6 of 6 shift-invert ground energies: the band factors at "
+                         "E0 - residual - tol |E0|")
 
 
-def test_calibrate_truncation_counts_a_box_above_the_cap(monkeypatch, capsys):
+def test_calibrate_truncation_counts_a_window_past_the_budget(monkeypatch, capsys,
+                                                             budget_below):
     tool = _load_tool("calibrate_truncation")
-    # omega_a = 4, N = 99, x = 2.5: the box starts at nu = 460, above the cap of
-    # 400, so the window is empty and neither sector is solved
+    # omega_a = 4, N = 99, x = 2.5: the box starts at nu = 460; with the band
+    # budget below both windows neither sector is solved, and the run fails
     monkeypatch.setattr(tool, "OMEGAS", (4.0,))
     monkeypatch.setattr(tool, "ATOMS", (99,))
     monkeypatch.setattr(tool, "RATIOS", (2.5,))
     monkeypatch.setattr(sys, "path", list(sys.path))
-    assert tool.main(["--list"]) == 0
+    budget_below(ModelParams.from_ratio(4.0, 2.5, 99))
+    assert tool.main(["--list"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["4 99 2.5 even cap", "4 99 2.5 odd cap"]
-    assert lines[2] == ("sectors 2 at tol 1e-08: accepted 0, raised at the cap 2, "
-                        "raised otherwise 0")
+    assert lines[:2] == ["4 99 2.5 even error", "4 99 2.5 odd error"]
+    assert lines[2] == "sectors 2 at tol 1e-08: accepted 0, raised 2"
     assert lines[5] == "shift-invert sectors 0: band solves 0; E0 - sigma median 0, largest 0"
     assert lines[6] == (f"Schur complement factored in 0 of 0 shift-invert sectors "
                         f"(above {solver.SCHUR_CUTOFF} states)")
+    assert lines[7] == ("proven 0 of 0 shift-invert ground energies: the band factors at "
+                        "E0 - residual - tol |E0|")
+
+
+def test_calibrate_truncation_fails_an_unproven_sector(monkeypatch, capsys):
+    # a proof that fails (as at an excited energy) fails the run
+    tool = _load_tool("calibrate_truncation")
+    monkeypatch.setattr(tool, "OMEGAS", (1.0,))
+    monkeypatch.setattr(tool, "ATOMS", (40,))
+    monkeypatch.setattr(tool, "RATIOS", (2.5,))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    factor = solver._factor
+
+    def excited(H, basis, sigma):  # every proof shift moved above the spectrum's bottom
+        if sigma > solver.spin_floor(basis.params):
+            sigma += 1.0
+        return factor(H, basis, sigma)
+
+    monkeypatch.setattr(solver, "_factor", excited)
+    assert tool.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sectors 2 at tol 1e-08: accepted 2, raised 0"
+    assert lines[5] == ("proven 0 of 2 shift-invert ground energies: the band factors at "
+                        "E0 - residual - tol |E0|")
 
 
 def _joint_table(nu, ne, p, fmt):

@@ -65,7 +65,7 @@ COMMANDS = [
      "--tol", "1e-12"),
     ("figures", "--id", "6", "--n-atoms", "20"),
     ("observables", "--n-atoms", "40", "--gamma", "0.5", "--parity", "odd"),
-    # the other figures at their defaults; figure 8 with null cells
+    # the other figures at their defaults
     ("figures", "--id", "1"),
     ("figures", "--id", "2"),
     ("figures", "--id", "4"),
@@ -73,7 +73,10 @@ COMMANDS = [
     ("figures", "--id", "7"),
     ("figures", "--id", "9"),
     ("figures", "--id", "8", "--n-atoms", "20"),
-    ("figures", "--id", "8", "--lambda-max-cap", "30"),
+    # windows above 400 shells: lambda 820 at N = 500, x = 2 and 631 at N = 1000, x = 1.3
+    ("spectrum", "--n-atoms", "500", "--gamma", "1"),
+    ("observables", "--source", "exact", "--n-atoms", "1000", "--gamma", "0.65",
+     "--parity", "even"),
     # closed forms, with flagged rows below and at the separatrix
     ("distributions", "--kind", "joint", *GRID),
     ("distributions", "--kind", "photon", *GRID),
