@@ -558,6 +558,27 @@ class TestOneVerifiedSolve:
         assert solver.TRUNCATION_SAFETY * res.truncation_estimate <= 1e-8 * abs(energy)
         assert energy <= variational_energy(p, parity) + 1e-9
 
+    # the edge of the range a 400-shell default cap once set at x = 2: both
+    # parities converged at the cap up to N = 231, and at N = 232 the odd
+    # sector's top shell leaked too much.  With no cap each converges in its
+    # seed window above 400 shells, of more than 11k states, well inside the
+    # band budget
+    @pytest.mark.parametrize("n_atoms,parity", [(231, "even"), (231, "odd"), (232, "odd")])
+    def test_default_cap_range_at_x_2(self, n_atoms, parity):
+        p = ModelParams.from_ratio(1.0, 2.0, n_atoms)
+        seed = truncation_seed(p)["lambda_seed"]
+        assert seed > 400
+        dim, counted = _seed_band(p, parity)
+        assert counted < solver.BAND_BUDGET // 100
+        res = converge_ground(p, parity)
+        assert res.lambda_max == seed
+        assert res.basis.size == dim > 11000
+        assert res.path == "variational shift-invert"
+        assert res.residuals[0] <= RESIDUAL_TOL
+        energy = res.eigenvalues[0]
+        assert solver.TRUNCATION_SAFETY * res.truncation_estimate <= 1e-8 * abs(energy)
+        assert energy <= variational_energy(p, parity) + 1e-9
+
     def test_error_carries_the_window_edges(self, monkeypatch):
         # one solve below the seed, in the seed's box
         p = ModelParams.from_ratio(1.0, 2.0, 200)
