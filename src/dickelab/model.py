@@ -13,6 +13,7 @@ would leave the window are dropped (variational truncation), never wrapped.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,16 +74,20 @@ class ModelParams:
         return cls(omega_a, x * gamma_critical(omega_a), n_atoms)
 
 
+@functools.lru_cache(maxsize=1)
 def window_columns(lambda_max: int, parity: str, nu_lo: int, ne_lo: int,
                    ne_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(first, counts) per column nu = 0..lambda_max of the window: column nu
     holds n_e = first[nu], first[nu] + 2, ... , counts[nu] states in all,
     none below nu_lo.  The parity and that of nu fix the first n_e at or
-    above ne_lo; the last is at most min(ne_hi, lambda_max - nu)."""
+    above ne_lo; the last is at most min(ne_hi, lambda_max - nu).  The last
+    window's columns are kept, read-only, so that the solver's band count
+    and the SectorBasis it then builds compute them once."""
     nus = np.arange(lambda_max + 1)
     first = ne_lo + (nus + ne_lo + (parity == "odd")) % 2
     counts = np.maximum((np.minimum(ne_hi, lambda_max - nus) - first) // 2 + 1, 0)
     counts[:nu_lo] = 0
+    first.flags.writeable = counts.flags.writeable = False
     return first, counts
 
 

@@ -466,12 +466,16 @@ def truncation_seed(params: ModelParams, tol: float = 1e-8) -> dict:
     which the mean-field width misses near the separatrix.  In the
     superradiant phase (|x| > 1) the window is also boxed in: nu >= nu_lo and
     ne_lo <= n_e <= ne_hi, each edge at the closed-form photon or atom mean
-    -+ (WINDOW_WIDTHS sqrt(width^2 + dc^2) + WINDOW_MARGIN), with the mean and
-    width from photon_statistics and atom_statistics; otherwise the box is
-    the whole space, nu_lo = ne_lo = 0 and ne_hi = N.  Below tol = 1e-8 the
-    two 6s and WINDOW_WIDTHS are multiplied by log(tol) / log(1e-8), so that
-    one window settles the tighter tolerance too; at and above 1e-8 the
-    window does not depend on tol.  Calibrated with
+    -+ (WINDOW_WIDTHS sqrt(width^2 + (dc (1 + t)^(-1/8))^2) + WINDOW_MARGIN),
+    with the mean and width from photon_statistics and atom_statistics and
+    t = (|x| - 1) N^(2/3) the finite-size crossover variable.  The critical
+    fluctuations live within |x| - 1 <~ N^(-2/3) (Vidal & Dusuel, EPL 74,
+    817, 2006), so further in the box fades towards the closed-form widths,
+    which fit the exact state there; the lambda edge keeps the whole dc.
+    Otherwise the box is the whole space, nu_lo = ne_lo = 0 and ne_hi = N.
+    Below tol = 1e-8 the two 6s and WINDOW_WIDTHS are multiplied by
+    log(tol) / log(1e-8), so that one window settles the tighter tolerance
+    too; at and above 1e-8 the window does not depend on tol.  Calibrated with
     tools/calibrate_truncation.py on omega_a in {0.25, 1, 4, 9}, N 10-140 and
     x 0.3-2.5: every sector ground state is accepted in this window at tol
     1e-8, 1e-10 and 1e-12.
@@ -484,8 +488,11 @@ def truncation_seed(params: ModelParams, tol: float = 1e-8) -> dict:
     record = {"lambda_seed": seed, "lambda_mean": mean, "lambda_width": width,
               "nu_lo": 0, "ne_lo": 0, "ne_hi": n_atoms}
     if abs(params.x) > 1.0:
+        # dc faded by the crossover variable t = (|x| - 1) N^(2/3)
+        faded = critical * (1.0 + (abs(params.x) - 1.0) * n_atoms ** (2.0 / 3.0)) ** -0.125
+
         def reach(mode_width):
-            return scale * WINDOW_WIDTHS * math.hypot(mode_width, critical) + WINDOW_MARGIN
+            return scale * WINDOW_WIDTHS * math.hypot(mode_width, faded) + WINDOW_MARGIN
 
         (nu_mean, nu_width), (ne_mean, ne_width) = (photon_statistics(params),
                                                     atom_statistics(params))

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import brute
-from dickelab import cli, solver
+from dickelab import cli, model, solver
 from dickelab.errors import ConvergenceError, ProjectionAnnihilationError
 from dickelab.model import ModelParams, build_hamiltonian, build_sector_basis
 from dickelab.sas import photon_number_coherent
@@ -36,11 +36,15 @@ def _seed_at(monkeypatch, lam):
                         lambda params, tol: {**seed(params, tol), "lambda_seed": lam})
 
 
+def _seed_window(params, parity):
+    """A sector's seed window at tol 1e-8: (lambda_max, parity, nu_lo, ne_lo, ne_hi)."""
+    seed = truncation_seed(params)
+    return seed["lambda_seed"], parity, seed["nu_lo"], seed["ne_lo"], seed["ne_hi"]
+
+
 def _seed_band(params, parity):
     """band_bytes of a sector's seed window at tol 1e-8: (states, bytes)."""
-    seed = truncation_seed(params)
-    return solver.band_bytes(seed["lambda_seed"], parity, seed["nu_lo"], seed["ne_lo"],
-                             seed["ne_hi"])
+    return solver.band_bytes(*_seed_window(params, parity))
 
 
 def _record_solves(monkeypatch):
@@ -253,15 +257,17 @@ class TestConvergeGround:
         critical = 1.25 * 10 ** (1 / 3)
         seed = truncation_seed(p)["lambda_seed"]
         assert seed == int(np.ceil(13.125 + 6 * np.sqrt(11.71875 + critical ** 2) + 6))
-        # the box 5.5 sqrt(width^2 + dc^2) + 2 around each mode's mean (photons
-        # 9.375 +- 22.4, atoms 3.75 +- 19.1) covers the whole space
+        # the box 5.5 sqrt(width^2 + dc'^2) + 2 around each mode's mean, with
+        # dc' = dc (1 + t)^(-1/8) and t = 10^(2/3) (photons 9.375 +- 22.6, atoms
+        # 3.75 +- 16.6), covers the whole space
         assert truncation_seed(p) == {"lambda_seed": seed,
                                       "lambda_mean": 13.125,
                                       "lambda_width": pytest.approx(np.sqrt(11.71875)),
                                       "nu_lo": 0, "ne_lo": 0, "ne_hi": 10}
 
     # at and above tol = 1e-8 the window does not depend on tol; below it the
-    # reach of every edge grows by log(tol) / log(1e-8)
+    # reach of every edge grows by log(tol) / log(1e-8), and the box's dc is
+    # faded by the crossover variable t = (|x| - 1) N^(2/3)
     @pytest.mark.parametrize("omega_a,n_atoms,x", [(1.0, 10, 2.0), (1.0, 200, 2.0),
                                                    (9.0, 40, 0.98), (0.25, 120, -1.5)])
     def test_seed_scales_with_the_tolerance(self, omega_a, n_atoms, x):
@@ -274,8 +280,9 @@ class TestConvergeGround:
                                                     + 1.5 * 6))
         if abs(x) > 1.0:
             nu_mean, nu_width = photon_statistics(p)
+            faded = critical * (1.0 + (abs(x) - 1.0) * n_atoms ** (2 / 3)) ** -0.125
             assert record["nu_lo"] == max(0, int(np.floor(
-                nu_mean - 1.5 * 5.5 * np.hypot(nu_width, critical) - 2.0)))
+                nu_mean - 1.5 * 5.5 * np.hypot(nu_width, faded) - 2.0)))
 
     # superradiant sectors are boxed in, the normal phase and the separatrix not
     @pytest.mark.parametrize("x", [2.0, -2.0, 1.0, 0.5])
@@ -287,10 +294,11 @@ class TestConvergeGround:
             assert (record["nu_lo"], record["ne_lo"], record["ne_hi"]) == (0, 0, n)
             return
         # the coherent photon number and its Poisson width, the spin coherent
-        # state's n_e = Jz + N/2 and its width, both widths floored by dc
+        # state's n_e = Jz + N/2 and its width, both widths floored by dc faded
+        # by t = (|x| - 1) N^(2/3), here (1 + 34.2)^(-1/8) = 0.64
         mu = n * 0.25 * x ** 2 * (1.0 - x ** -4)
         ne_mean, ne_var = 0.5 * n * (1.0 - x ** -2), 0.25 * n * (1.0 - x ** -4)
-        dc2 = (1.25 * n ** (1 / 3)) ** 2
+        dc2 = (1.25 * n ** (1 / 3) * (1.0 + (abs(x) - 1.0) * n ** (2 / 3)) ** -0.125) ** 2
         nu_reach = 5.5 * np.sqrt(mu + dc2) + 2.0
         ne_reach = 5.5 * np.sqrt(ne_var + dc2) + 2.0
         assert photon_statistics(p) == pytest.approx((mu, np.sqrt(mu)), rel=1e-14)
@@ -561,7 +569,7 @@ class TestOneVerifiedSolve:
     # the edge of the range a 400-shell default cap once set at x = 2: both
     # parities converged at the cap up to N = 231, and at N = 232 the odd
     # sector's top shell leaked too much.  With no cap each converges in its
-    # seed window above 400 shells, of more than 11k states, well inside the
+    # seed window above 400 shells, of more than 10k states, well inside the
     # band budget
     @pytest.mark.parametrize("n_atoms,parity", [(231, "even"), (231, "odd"), (232, "odd")])
     def test_default_cap_range_at_x_2(self, n_atoms, parity):
@@ -572,7 +580,7 @@ class TestOneVerifiedSolve:
         assert counted < solver.BAND_BUDGET // 100
         res = converge_ground(p, parity)
         assert res.lambda_max == seed
-        assert res.basis.size == dim > 11000
+        assert res.basis.size == dim > 10000
         assert res.path == "variational shift-invert"
         assert res.residuals[0] <= RESIDUAL_TOL
         energy = res.eigenvalues[0]
@@ -635,6 +643,24 @@ class TestWindow:
         assert abs(energy - whole) <= tol * abs(whole)
         # the window is a subspace: its energy lies above, up to rounding
         assert energy >= whole - 1e-12 * abs(whole)
+
+    # the contract the box relies on once its critical width fades away from
+    # the separatrix: the box costs the ground energy at most 0.05 tol |E|
+    # against the unboxed window at the same lambda_max.  The examples are
+    # the largest rises on a grid of these ranges: 0.010 tol, and 0.0015 tol
+    # where a fade of (1 + t)^(-1/4) would reach 0.021 tol
+    @settings(max_examples=40, deadline=None)
+    @given(omega_a=st.sampled_from([0.25, 1.0, 4.0, 9.0]), n_atoms=st.integers(20, 80),
+           x=st.floats(1.0, 2.5, exclude_min=True), parity=st.sampled_from(["even", "odd"]),
+           tol=st.sampled_from([1e-8, 1e-12]))
+    @example(omega_a=9.0, n_atoms=80, x=2.0, parity="even", tol=1e-8)
+    @example(omega_a=0.25, n_atoms=80, x=1.1, parity="odd", tol=1e-8)
+    def test_box_rise_within_a_twentieth_of_tol(self, omega_a, n_atoms, x, parity, tol):
+        p = ModelParams.from_ratio(omega_a, x, n_atoms)
+        res = converge_ground(p, parity, tol=tol)
+        unboxed = _solve(p, res.lambda_max, parity).eigenvalues[0]
+        energy = res.eigenvalues[0]
+        assert energy - unboxed <= 0.05 * tol * abs(energy)
 
     @pytest.mark.parametrize("omega_a,n_atoms,x,parity", [
         (1.0, 40, 0.5, "even"), (9.0, 15, 0.98, "odd"), (1.0, 40, 1.0, "odd"),
@@ -878,18 +904,30 @@ class TestBandBudget:
         assert 8 * rows * cols <= counted <= 8 * (rows + 1) * cols
 
     # the README's range at x = 2: the seed windows of both parities fit the
-    # budget up to N = 10975 (414k states), neither from N = 11041; in between
+    # budget up to N = 12719 (427k states), neither from N = 12767; in between
     # a band row comes and goes with the parities of the box edges
     def test_budget_range_at_x_2(self):
         def window(n_atoms, parity):
             return _seed_band(ModelParams.from_ratio(1.0, 2.0, n_atoms), parity)
 
         fits = {(n, parity): window(n, parity)[1] <= solver.BAND_BUDGET
-                for n in range(10900, 11100) for parity in ("even", "odd")}
-        assert min(n for (n, _), ok in fits.items() if not ok) == 10976
-        assert max(n for (n, _), ok in fits.items() if ok) == 11040
-        dim = window(10975, "even")[0]
-        assert 414_000 < dim < 415_000 and solver._schur(dim)
+                for n in range(12650, 12850) for parity in ("even", "odd")}
+        assert min(n for (n, _), ok in fits.items() if not ok) == 12720
+        assert max(n for (n, _), ok in fits.items() if ok) == 12766
+        dim = window(12719, "odd")[0]
+        assert 426_000 < dim < 427_000 and solver._schur(dim)
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_window_columns_counted_once_per_solve(self, parity):
+        # band_bytes and the SectorBasis built after it share one count
+        p = ModelParams.from_ratio(1.0, 2.0, 200)
+        model.window_columns.cache_clear()
+        res = converge_ground(p, parity)
+        info = model.window_columns.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        first, counts = model.window_columns(*_seed_window(p, parity))
+        assert res.basis.size == counts.sum()
+        assert not (first.flags.writeable or counts.flags.writeable)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_window_past_the_budget_is_not_solved(self, monkeypatch, parity):

@@ -24,7 +24,7 @@ def _load_tool(name):
 
 def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     tool = _load_tool("calibrate_truncation")
-    # the normal phase, and at N = 40, x = 2.5 a sector boxed in at nu >= 9
+    # the normal phase, and at N = 40, x = 2.5 a sector boxed in at nu >= 12
     monkeypatch.setattr(tool, "OMEGAS", (1.0,))
     monkeypatch.setattr(tool, "ATOMS", (10, 40))
     monkeypatch.setattr(tool, "RATIOS", (0.6, 2.5))
@@ -38,9 +38,12 @@ def test_calibrate_truncation_lists_a_small_grid(monkeypatch, capsys):
     assert [line.split()[:5] for line in lines[:8]] == [
         ["1", str(n), x, parity, "accepted"]
         for n in (10, 40) for x in ("0.6", "2.5") for parity in ("even", "odd")]
-    assert sum(" box=(9,0,40) " in line for line in lines[:8]) == 2
-    assert "largest energy rise from the box" in lines[10]
-    # the six sectors above the dense cutoff (dim 272 to 2327) are shift-inverted,
+    assert sum(" box=(12,0,40) " in line for line in lines[:8]) == 2
+    rise = re.search(r"; largest energy rise from the box (\S+) \((\S+) tol\); ", lines[10])
+    assert rise is not None, lines[10]
+    assert 0.0 < float(rise[1]) <= 1e-8
+    assert float(rise[2]) == pytest.approx(float(rise[1]) / 1e-8, rel=1e-2)
+    # the six sectors above the dense cutoff (dim 272 to 2265) are shift-inverted,
     # each with at least one band solve, from a shift below its ground energy
     dims = [int(re.search(r" dim=(\d+) ", line).group(1)) for line in lines[:8]]
     assert sum(dim > 120 for dim in dims) == 6
@@ -100,6 +103,26 @@ def test_calibrate_truncation_fails_an_unproven_sector(monkeypatch, capsys):
                         "E0 - residual - tol |E0|")
 
 
+def test_calibrate_truncation_fails_a_box_rise_above_tol(monkeypatch, capsys):
+    # a box of one width with the truncation test off: every sector is
+    # accepted, the box raises its energy far above tol |E|, and the run fails
+    tool = _load_tool("calibrate_truncation")
+    monkeypatch.setattr(tool, "OMEGAS", (1.0,))
+    monkeypatch.setattr(tool, "ATOMS", (40,))
+    monkeypatch.setattr(tool, "RATIOS", (2.5,))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(solver, "WINDOW_WIDTHS", solver.WINDOW_WIDTHS)  # main sets it
+    monkeypatch.setattr(solver, "TRUNCATION_SAFETY", 1e-9)
+    assert tool.main(["--rise", "--widths", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sectors 2 at tol 1e-08: accepted 2, raised 0"
+    rise = re.search(r"; largest energy rise from the box (\S+) \((\S+) tol\); ", lines[2])
+    assert rise is not None, lines[2]
+    assert float(rise[1]) > 1e-8 and float(rise[2]) > 1.0
+    assert lines[5] == ("proven 2 of 2 shift-invert ground energies: the band factors at "
+                        "E0 - residual - tol |E0|")
+
+
 def _joint_table(nu, ne, p, fmt):
     meta = {"command": "distributions", "kind": "joint", "nu_max": 1}
     block = (0.55, "even", np.array(nu), np.array(ne), np.array(p, dtype=float), "")
@@ -141,3 +164,30 @@ def test_cli_digest_compares_rounding_residue_absolutely(monkeypatch, fmt):
         argv, 0, stdout[src.name].encode(), b""))
     assert tool.compare_line(["verify"], Path("new"), Path("old"), fmt) == (
         "max-rel-diff 2.2e-16 exact verify")
+
+
+def _spectrum_table(meta, energy, fmt):
+    return Dataset({"command": "spectrum", **meta}, ["gamma", "parity", "energy"],
+                   [(1.0, "even", energy)]).render(fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("old_meta,new_meta,keys", [
+    ({"lambda_max_cap": 400, "tol": 1e-8}, {"tol": 1e-8}, "-lambda_max_cap"),
+    ({"tol": 1e-8}, {"tol": 1e-8, "budget": 512}, "+budget"),
+    ({"tol": 1e-8, "n_atoms": 40}, {"n_atoms": 40, "tol": 1e-8}, "order"),
+])
+def test_cli_digest_compares_the_shared_cells_when_metadata_keys_differ(
+        monkeypatch, capsys, fmt, old_meta, new_meta, keys):
+    # the key difference is named, the shared cells still compared, and the run fails
+    tool = _load_tool("cli_digest")
+    stdout = {"old": _spectrum_table(old_meta, -4.0, fmt),
+              "new": _spectrum_table(new_meta, -4.000000000000001, fmt)}
+    monkeypatch.setattr(tool, "run", lambda argv, src: subprocess.CompletedProcess(
+        argv, 0, stdout[src.name].encode(), b""))
+    want = f"MISMATCH metadata keys {keys} max-rel-diff 2.2e-16 energy spectrum"
+    assert tool.compare_line(["spectrum"], Path("new"), Path("old"), fmt) == want
+    monkeypatch.setattr(tool, "COMMANDS", [("spectrum",)])
+    monkeypatch.setattr(tool, "FORMATS", (fmt,))
+    assert tool.main(["--src", "new", "--against", "old"]) == 1
+    assert capsys.readouterr().out == f"{want} --format {fmt}\n"

@@ -31,9 +31,12 @@ absolute difference.  A distribution table (one with a
 side: the rows whose probability cells (``p``, ``p_even``, ``p_odd``) are
 all exactly 0 are dropped, and ``support-identical <argv>`` means that the
 rows left agree byte for byte.  A line ``MISMATCH <what> <argv>``, and
-exit code 1, mean that the exit codes, stderr, the metadata keys, the
-columns, the row counts (after the zero rows are dropped), a distribution's
-index cells, the nulls or a non-numeric cell differ.
+exit code 1, mean that the exit codes, stderr, the columns, the row counts
+(after the zero rows are dropped), a distribution's index cells, the nulls
+or a non-numeric cell differ.  Where only the metadata keys differ, the
+shared cells are still compared, and the line reads ``MISMATCH metadata
+keys -<dropped> +<added> max-rel-diff <d> <column> <argv>`` (``order`` in
+place of the keys when only their order moved), also with exit code 1.
 """
 from __future__ import annotations
 
@@ -209,8 +212,11 @@ def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
             return f"support-identical {shlex.join(argv)}"
         (old_meta, old_cols, old_rows), (new_meta, new_cols, new_rows) = (
             _table(text, fmt) for text in (old_text, new_text))
-        if [k for k, _ in old_meta] != [k for k, _ in new_meta]:
-            raise Mismatch("metadata keys")
+        old_keys, new_keys = [k for k, _ in old_meta], [k for k, _ in new_meta]
+        moved = ([f"-{k}" for k in old_keys if k not in new_keys]
+                 + [f"+{k}" for k in new_keys if k not in old_keys])
+        keys = ("" if old_keys == new_keys
+                else f"MISMATCH metadata keys {' '.join(moved) or 'order'} ")
         if old_cols != new_cols:
             raise Mismatch("columns")
         if len(old_rows) != len(new_rows) or any(
@@ -219,13 +225,14 @@ def compare_line(argv: list[str], src: Path, against: Path, fmt: str) -> str:
         index = [j for j, c in enumerate(new_cols) if c in INDEX_COLUMNS]
         if any(a[j] != b[j] for a, b in zip(old_rows, new_rows) for j in index):
             raise Mismatch("index cell")
-        cells = [(key, a, b) for (key, a), (_, b) in zip(old_meta, new_meta)]
+        shared = dict(new_meta)
+        cells = [(key, a, shared[key]) for key, a in old_meta if key in shared]
         cells += [cell for a, b in zip(old_rows, new_rows) for cell in zip(new_cols, a, b)]
         worst, column = max(((_cell_difference(a, b), key) for key, a, b in cells),
                             key=lambda pair: pair[0], default=(0.0, "-"))
     except Mismatch as exc:
         return f"MISMATCH {exc} {shlex.join(argv)}"
-    return f"max-rel-diff {worst:.2g} {column} {shlex.join(argv)}"
+    return f"{keys}max-rel-diff {worst:.2g} {column} {shlex.join(argv)}"
 
 
 def main(argv=None) -> int:
